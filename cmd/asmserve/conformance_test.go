@@ -64,7 +64,7 @@ func newConfEnv(t *testing.T, limit int, opts ...serve.ManagerOption) *confEnv {
 // create makes a fresh session (phase "propose") and returns its base URL.
 func (e *confEnv) create() string {
 	e.t.Helper()
-	var st statusResponse
+	var st serve.Status
 	if code := call(e.t, "POST", e.ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.3, Seed: 7, Workers: 1}, &st); code != http.StatusCreated {
 		e.t.Fatalf("fixture create: code %d", code)
@@ -87,7 +87,7 @@ func (e *confEnv) pending() string {
 // first batch's own seeds reaches the threshold immediately.
 func (e *confEnv) done() string {
 	e.t.Helper()
-	var st statusResponse
+	var st serve.Status
 	if code := call(e.t, "POST", e.ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", Eta: 1, Seed: 7, Workers: 1}, &st); code != http.StatusCreated {
 		e.t.Fatalf("fixture create: code %d", code)
@@ -286,7 +286,7 @@ func TestConformancePoisonedSessionIs410(t *testing.T) {
 	runConformanceCase(t, e, conformanceCase{wantCode: 410}, "POST", base+"/next", nil)
 	runConformanceCase(t, e, conformanceCase{wantCode: 410}, "POST", base+"/observe", []byte(`{"activated":[]}`))
 	// Status still serves the corpse, with the poisoning recorded.
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "GET", base, nil, &st); code != 200 {
 		t.Fatalf("status on poisoned session: code %d", code)
 	}
@@ -406,7 +406,7 @@ func TestConformanceWireShapes(t *testing.T) {
 	sort.Strings(statusKeys)
 
 	// POST /v1/sessions → status object (no pending, no failure fields).
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "POST", e.ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.3, Seed: 3, Workers: 1}, &st); code != 201 {
 		t.Fatalf("create: code %d", code)

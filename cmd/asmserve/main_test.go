@@ -90,7 +90,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("datasets = %v", got)
 	}
 
-	var st statusResponse
+	var st serve.Status
 	code := call(t, "POST", ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.05, Seed: 7}, &st)
 	if code != http.StatusCreated {
@@ -138,7 +138,7 @@ func TestRoundTrip(t *testing.T) {
 	if code := call(t, "GET", base, nil, &st); code != 200 || !st.Done || st.Phase != "done" {
 		t.Errorf("status after done: code %d %+v", code, st)
 	}
-	var list map[string][]statusResponse
+	var list map[string][]serve.Status
 	if code := call(t, "GET", ts.URL+"/v1/sessions", nil, &list); code != 200 || len(list["sessions"]) != 1 {
 		t.Errorf("list: code %d %v", code, list)
 	}
@@ -169,7 +169,7 @@ func TestParallelSessionsDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var st statusResponse
+			var st serve.Status
 			if code := call(t, "POST", ts.URL+"/v1/sessions",
 				createRequest{Dataset: "tiny", EtaFrac: 0.3, Seed: 42}, &st); code != http.StatusCreated {
 				t.Errorf("create: code %d", code)
@@ -258,7 +258,7 @@ func TestRestartRecovery(t *testing.T) {
 
 	// First life: create a session and run two rounds.
 	ts1, _, _ := newInstance(false)
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "POST", ts1.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.3, Seed: 11, Workers: 1}, &st); code != http.StatusCreated {
 		t.Fatalf("create: code %d", code)
@@ -280,7 +280,7 @@ func TestRestartRecovery(t *testing.T) {
 			t.Skip("campaign finished before the crash point")
 		}
 	}
-	var before statusResponse
+	var before serve.Status
 	if code := call(t, "GET", base1, nil, &before); code != 200 {
 		t.Fatalf("status: code %d", code)
 	}
@@ -298,7 +298,7 @@ func TestRestartRecovery(t *testing.T) {
 	if !health.Journal || health.RecoveredSessions != 1 || health.Sessions != 1 {
 		t.Fatalf("healthz after recovery %+v", health)
 	}
-	var after statusResponse
+	var after serve.Status
 	if code := call(t, "GET", ts2.URL+"/v1/sessions/"+before.ID, nil, &after); code != 200 {
 		t.Fatalf("status after restart: code %d", code)
 	}
@@ -374,7 +374,7 @@ func TestStrictRequestParsing(t *testing.T) {
 	}
 
 	// A session to aim the observe-body tests at.
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "POST", ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.05, Seed: 1}, &st); code != http.StatusCreated {
 		t.Fatalf("create: code %d", code)
@@ -404,7 +404,7 @@ func TestStrictRequestParsing(t *testing.T) {
 // the memory gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "POST", ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.3, Seed: 9}, &st); code != http.StatusCreated {
 		t.Fatalf("create: code %d", code)
@@ -472,7 +472,7 @@ func TestTransparentReactivationHTTP(t *testing.T) {
 		mgr.CloseAll()
 	})
 
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "POST", ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.3, Seed: 5, Workers: 1}, &st); code != http.StatusCreated {
 		t.Fatalf("create: code %d", code)
@@ -490,7 +490,7 @@ func TestTransparentReactivationHTTP(t *testing.T) {
 	if ok, err := mgr.Passivate(st.ID); err != nil || !ok {
 		t.Fatalf("Passivate: ok=%v err=%v", ok, err)
 	}
-	var after statusResponse
+	var after serve.Status
 	if code := call(t, "GET", base, nil, &after); code != 200 {
 		t.Fatalf("status on passivated session: code %d", code)
 	}
@@ -551,7 +551,7 @@ func TestReactivationFailureIs500(t *testing.T) {
 		mgr.CloseAll()
 	})
 
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "POST", ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.3, Seed: 21, Workers: 1}, &st); code != http.StatusCreated {
 		t.Fatalf("create: code %d", code)
@@ -614,7 +614,7 @@ func TestRetryAfterOnSessionLimit(t *testing.T) {
 		mgr.CloseAll()
 	})
 
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "POST", ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.05, Seed: 1}, &st); code != http.StatusCreated {
 		t.Fatalf("create: code %d", code)
@@ -736,7 +736,7 @@ func TestDegradedSessionOverHTTP(t *testing.T) {
 		mgr.CloseAll()
 	})
 
-	var st statusResponse
+	var st serve.Status
 	if code := call(t, "POST", ts.URL+"/v1/sessions",
 		createRequest{Dataset: "tiny", EtaFrac: 0.3, Seed: 8, Workers: 1}, &st); code != http.StatusCreated {
 		t.Fatalf("create: code %d", code)
@@ -768,7 +768,7 @@ func TestDegradedSessionOverHTTP(t *testing.T) {
 	}
 	fault.Deactivate()
 
-	var after statusResponse
+	var after serve.Status
 	if code := call(t, "GET", base, nil, &after); code != 200 {
 		t.Fatalf("status: code %d", code)
 	}

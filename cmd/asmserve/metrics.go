@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"asti/internal/fault"
+	"asti/internal/serve"
 )
 
 // stepBuckets are the latency histogram bucket bounds in seconds. One
@@ -25,7 +27,7 @@ type histogram struct {
 	buckets  []atomic.Uint64 // per-bucket (non-cumulative) counts
 	overflow atomic.Uint64   // observations beyond the last bound
 	count    atomic.Uint64
-	sumMicro atomic.Int64 // sum in microseconds (exact enough for latency)
+	sumNanos atomic.Int64 // sum in nanoseconds, the Duration resolution
 }
 
 // newHistogram returns a histogram over stepBuckets.
@@ -48,12 +50,12 @@ func (h *histogram) observe(d time.Duration) {
 		h.overflow.Add(1)
 	}
 	h.count.Add(1)
-	h.sumMicro.Add(d.Microseconds())
+	h.sumNanos.Add(int64(d))
 }
 
 // writeProm emits the histogram in Prometheus text format under name,
 // with one fixed label (op="next"/"observe").
-func (h *histogram) writeProm(w http.ResponseWriter, name, label, value string) {
+func (h *histogram) writeProm(w io.Writer, name, label, value string) {
 	cum := uint64(0)
 	for i, b := range stepBuckets {
 		cum += h.buckets[i].Load()
@@ -61,7 +63,7 @@ func (h *histogram) writeProm(w http.ResponseWriter, name, label, value string) 
 	}
 	cum += h.overflow.Load()
 	fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, value, cum)
-	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, value, float64(h.sumMicro.Load())/1e6)
+	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, value, float64(h.sumNanos.Load())/1e9)
 	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, value, h.count.Load())
 }
 
@@ -69,6 +71,80 @@ func (h *histogram) writeProm(w http.ResponseWriter, name, label, value string) 
 // (shortest float representation, no trailing zeros).
 func formatBound(b float64) string {
 	return strconv.FormatFloat(b, 'g', -1, 64)
+}
+
+// family is one plain (unlabelled, single-sample) /metrics family.
+type family struct {
+	name string
+	kind string // Prometheus TYPE: "counter" or "gauge"
+	help string
+	// value reads the sample. It returns an integer or a float64 and is
+	// written with %v, so integer series never take exponent form.
+	value func(sv *server, mt *serve.Metrics) any
+}
+
+// families is the canonical list of the plain /metrics families, in
+// exposition order. The labelled asmserve_sessions{phase} census is
+// written before them and the asmserve_step_seconds histograms after.
+// A new plain observable is one more row here.
+var families = []family{
+	{"asmserve_sessions_created_total", "counter", "Sessions created by clients since boot (recovered sessions excluded).",
+		func(_ *server, mt *serve.Metrics) any { return mt.Creates }},
+	{"asmserve_sessions_closed_total", "counter", "Sessions closed by clients since boot.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Closes }},
+	{"asmserve_proposals_total", "counter", "Successful seed-batch proposals served since boot (recovery/reactivation replays excluded).",
+		func(_ *server, mt *serve.Metrics) any { return mt.Proposals }},
+	{"asmserve_observations_total", "counter", "Successful observation commits since boot (recovery/reactivation replays excluded).",
+		func(_ *server, mt *serve.Metrics) any { return mt.Observations }},
+	{"asmserve_passivations_total", "counter", "Idle sessions passivated to the write-ahead journal since boot.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Passivations }},
+	{"asmserve_reactivations_total", "counter", "Passivated sessions reactivated by log replay since boot.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Reactivations }},
+	{"asmserve_checkpoints_total", "counter", "Verified state checkpoints written into session journals since boot.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Checkpoints }},
+	{"asmserve_checkpoint_failures_total", "counter", "Checkpoints skipped because write-time verification or encoding failed (the session continues journaling normally).",
+		func(_ *server, mt *serve.Metrics) any { return mt.CheckpointFailures }},
+	{"asmserve_compactions_total", "counter", "Session journals compacted down to their newest checkpoint since boot.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Compactions }},
+	{"asmserve_compacted_bytes_total", "counter", "Journal bytes reclaimed by compaction since boot.",
+		func(_ *server, mt *serve.Metrics) any { return mt.CompactedBytes }},
+	{"asmserve_checkpoint_restores_total", "counter", "Recoveries and reactivations that restored a checkpoint and replayed only the suffix, instead of the full history.",
+		func(_ *server, mt *serve.Metrics) any { return mt.CheckpointRestores }},
+	{"asmserve_journal_retries_total", "counter", "Transient journal append/fsync failures absorbed by the writer's bounded retries.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Journal.AppendRetries }},
+	{"asmserve_journal_append_failures_total", "counter", "Journal appends that failed for good (retry budget spent or non-retryable error class).",
+		func(_ *server, mt *serve.Metrics) any { return mt.Journal.AppendFailures }},
+	{"asmserve_journal_disk_full_total", "counter", "Journal append failures classified disk-full (each triggers an emergency compaction attempt).",
+		func(_ *server, mt *serve.Metrics) any { return mt.Journal.DiskFull }},
+	{"asmserve_journal_reopens_total", "counter", "Journal writer re-opens performed inside append retry loops.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Journal.Reopens }},
+	{"asmserve_emergency_compactions_total", "counter", "On-demand journal compactions run in response to disk-full append failures.",
+		func(_ *server, mt *serve.Metrics) any { return mt.EmergencyCompactions }},
+	{"asmserve_sessions_poisoned_total", "counter", "Sessions closed by a final journal failure under the fail-stop durability policy.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Poisoned }},
+	{"asmserve_sessions_degraded_total", "counter", "Sessions switched to non-durable serving by a final journal failure under the degrade policy.",
+		func(_ *server, mt *serve.Metrics) any { return mt.Degraded }},
+	{"asmserve_sessions_degraded", "gauge", "Open sessions currently serving non-durably (their logs are frozen at the last durable transition).",
+		func(_ *server, mt *serve.Metrics) any { return mt.DegradedNow }},
+	{"asmserve_journal_breaker_open", "gauge", "1 while the journal-health breaker is rejecting new durable sessions with 503.",
+		func(_ *server, mt *serve.Metrics) any {
+			if mt.JournalHealthy {
+				return 0
+			}
+			return 1
+		}},
+	{"asmserve_journal_breaker_trips_total", "counter", "Journal-health breaker closed-to-open transitions since boot.",
+		func(_ *server, mt *serve.Metrics) any { return mt.BreakerTrips }},
+	{"asmserve_fault_injections_total", "counter", "Faults injected by the active fault plan (0 unless -fault-plan armed one).",
+		func(*server, *serve.Metrics) any { return fault.Injections() }},
+	{"asmserve_pool_bytes", "gauge", "Estimated heap bytes held by live sessions' sampling pools.",
+		func(_ *server, mt *serve.Metrics) any { return mt.PoolBytes }},
+	{"asmserve_journal_bytes", "gauge", "On-disk bytes of the open sessions' write-ahead logs.",
+		func(_ *server, mt *serve.Metrics) any { return mt.JournalBytes }},
+	{"asmserve_sessions_recovered", "gauge", "Sessions rebuilt from the journal when this process booted.",
+		func(sv *server, _ *serve.Metrics) any { return sv.recovered }},
+	{"asmserve_idle_ttl_seconds", "gauge", "Configured idle-passivation TTL (0 = passivation off).",
+		func(sv *server, _ *serve.Metrics) any { return sv.mgr.IdleTTL().Seconds() }},
 }
 
 // handleMetrics serves GET /metrics: a Prometheus-style text exposition
@@ -101,88 +177,9 @@ func (sv *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "asmserve_sessions{phase=%q} %d\n", ph, mt.Phases[ph])
 	}
 
-	fmt.Fprintln(w, "# HELP asmserve_sessions_created_total Sessions created by clients since boot (recovered sessions excluded).")
-	fmt.Fprintln(w, "# TYPE asmserve_sessions_created_total counter")
-	fmt.Fprintf(w, "asmserve_sessions_created_total %d\n", mt.Creates)
-	fmt.Fprintln(w, "# HELP asmserve_sessions_closed_total Sessions closed by clients since boot.")
-	fmt.Fprintln(w, "# TYPE asmserve_sessions_closed_total counter")
-	fmt.Fprintf(w, "asmserve_sessions_closed_total %d\n", mt.Closes)
-	fmt.Fprintln(w, "# HELP asmserve_proposals_total Successful seed-batch proposals served since boot (recovery/reactivation replays excluded).")
-	fmt.Fprintln(w, "# TYPE asmserve_proposals_total counter")
-	fmt.Fprintf(w, "asmserve_proposals_total %d\n", mt.Proposals)
-	fmt.Fprintln(w, "# HELP asmserve_observations_total Successful observation commits since boot (recovery/reactivation replays excluded).")
-	fmt.Fprintln(w, "# TYPE asmserve_observations_total counter")
-	fmt.Fprintf(w, "asmserve_observations_total %d\n", mt.Observations)
-	fmt.Fprintln(w, "# HELP asmserve_passivations_total Idle sessions passivated to the write-ahead journal since boot.")
-	fmt.Fprintln(w, "# TYPE asmserve_passivations_total counter")
-	fmt.Fprintf(w, "asmserve_passivations_total %d\n", mt.Passivations)
-	fmt.Fprintln(w, "# HELP asmserve_reactivations_total Passivated sessions reactivated by log replay since boot.")
-	fmt.Fprintln(w, "# TYPE asmserve_reactivations_total counter")
-	fmt.Fprintf(w, "asmserve_reactivations_total %d\n", mt.Reactivations)
-	fmt.Fprintln(w, "# HELP asmserve_checkpoints_total Verified state checkpoints written into session journals since boot.")
-	fmt.Fprintln(w, "# TYPE asmserve_checkpoints_total counter")
-	fmt.Fprintf(w, "asmserve_checkpoints_total %d\n", mt.Checkpoints)
-	fmt.Fprintln(w, "# HELP asmserve_checkpoint_failures_total Checkpoints skipped because write-time verification or encoding failed (the session continues journaling normally).")
-	fmt.Fprintln(w, "# TYPE asmserve_checkpoint_failures_total counter")
-	fmt.Fprintf(w, "asmserve_checkpoint_failures_total %d\n", mt.CheckpointFailures)
-	fmt.Fprintln(w, "# HELP asmserve_compactions_total Session journals compacted down to their newest checkpoint since boot.")
-	fmt.Fprintln(w, "# TYPE asmserve_compactions_total counter")
-	fmt.Fprintf(w, "asmserve_compactions_total %d\n", mt.Compactions)
-	fmt.Fprintln(w, "# HELP asmserve_compacted_bytes_total Journal bytes reclaimed by compaction since boot.")
-	fmt.Fprintln(w, "# TYPE asmserve_compacted_bytes_total counter")
-	fmt.Fprintf(w, "asmserve_compacted_bytes_total %d\n", mt.CompactedBytes)
-	fmt.Fprintln(w, "# HELP asmserve_checkpoint_restores_total Recoveries and reactivations that restored a checkpoint and replayed only the suffix, instead of the full history.")
-	fmt.Fprintln(w, "# TYPE asmserve_checkpoint_restores_total counter")
-	fmt.Fprintf(w, "asmserve_checkpoint_restores_total %d\n", mt.CheckpointRestores)
-	fmt.Fprintln(w, "# HELP asmserve_journal_retries_total Transient journal append/fsync failures absorbed by the writer's bounded retries.")
-	fmt.Fprintln(w, "# TYPE asmserve_journal_retries_total counter")
-	fmt.Fprintf(w, "asmserve_journal_retries_total %d\n", mt.Journal.AppendRetries)
-	fmt.Fprintln(w, "# HELP asmserve_journal_append_failures_total Journal appends that failed for good (retry budget spent or non-retryable error class).")
-	fmt.Fprintln(w, "# TYPE asmserve_journal_append_failures_total counter")
-	fmt.Fprintf(w, "asmserve_journal_append_failures_total %d\n", mt.Journal.AppendFailures)
-	fmt.Fprintln(w, "# HELP asmserve_journal_disk_full_total Journal append failures classified disk-full (each triggers an emergency compaction attempt).")
-	fmt.Fprintln(w, "# TYPE asmserve_journal_disk_full_total counter")
-	fmt.Fprintf(w, "asmserve_journal_disk_full_total %d\n", mt.Journal.DiskFull)
-	fmt.Fprintln(w, "# HELP asmserve_journal_reopens_total Journal writer re-opens performed inside append retry loops.")
-	fmt.Fprintln(w, "# TYPE asmserve_journal_reopens_total counter")
-	fmt.Fprintf(w, "asmserve_journal_reopens_total %d\n", mt.Journal.Reopens)
-	fmt.Fprintln(w, "# HELP asmserve_emergency_compactions_total On-demand journal compactions run in response to disk-full append failures.")
-	fmt.Fprintln(w, "# TYPE asmserve_emergency_compactions_total counter")
-	fmt.Fprintf(w, "asmserve_emergency_compactions_total %d\n", mt.EmergencyCompactions)
-	fmt.Fprintln(w, "# HELP asmserve_sessions_poisoned_total Sessions closed by a final journal failure under the fail-stop durability policy.")
-	fmt.Fprintln(w, "# TYPE asmserve_sessions_poisoned_total counter")
-	fmt.Fprintf(w, "asmserve_sessions_poisoned_total %d\n", mt.Poisoned)
-	fmt.Fprintln(w, "# HELP asmserve_sessions_degraded_total Sessions switched to non-durable serving by a final journal failure under the degrade policy.")
-	fmt.Fprintln(w, "# TYPE asmserve_sessions_degraded_total counter")
-	fmt.Fprintf(w, "asmserve_sessions_degraded_total %d\n", mt.Degraded)
-	fmt.Fprintln(w, "# HELP asmserve_sessions_degraded Open sessions currently serving non-durably (their logs are frozen at the last durable transition).")
-	fmt.Fprintln(w, "# TYPE asmserve_sessions_degraded gauge")
-	fmt.Fprintf(w, "asmserve_sessions_degraded %d\n", mt.DegradedNow)
-	breakerOpen := 0
-	if !mt.JournalHealthy {
-		breakerOpen = 1
+	for _, f := range families {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", f.name, f.help, f.name, f.kind, f.name, f.value(sv, &mt))
 	}
-	fmt.Fprintln(w, "# HELP asmserve_journal_breaker_open 1 while the journal-health breaker is rejecting new durable sessions with 503.")
-	fmt.Fprintln(w, "# TYPE asmserve_journal_breaker_open gauge")
-	fmt.Fprintf(w, "asmserve_journal_breaker_open %d\n", breakerOpen)
-	fmt.Fprintln(w, "# HELP asmserve_journal_breaker_trips_total Journal-health breaker closed-to-open transitions since boot.")
-	fmt.Fprintln(w, "# TYPE asmserve_journal_breaker_trips_total counter")
-	fmt.Fprintf(w, "asmserve_journal_breaker_trips_total %d\n", mt.BreakerTrips)
-	fmt.Fprintln(w, "# HELP asmserve_fault_injections_total Faults injected by the active fault plan (0 unless -fault-plan armed one).")
-	fmt.Fprintln(w, "# TYPE asmserve_fault_injections_total counter")
-	fmt.Fprintf(w, "asmserve_fault_injections_total %d\n", fault.Injections())
-	fmt.Fprintln(w, "# HELP asmserve_pool_bytes Estimated heap bytes held by live sessions' sampling pools.")
-	fmt.Fprintln(w, "# TYPE asmserve_pool_bytes gauge")
-	fmt.Fprintf(w, "asmserve_pool_bytes %d\n", mt.PoolBytes)
-	fmt.Fprintln(w, "# HELP asmserve_journal_bytes On-disk bytes of the open sessions' write-ahead logs.")
-	fmt.Fprintln(w, "# TYPE asmserve_journal_bytes gauge")
-	fmt.Fprintf(w, "asmserve_journal_bytes %d\n", mt.JournalBytes)
-	fmt.Fprintln(w, "# HELP asmserve_sessions_recovered Sessions rebuilt from the journal when this process booted.")
-	fmt.Fprintln(w, "# TYPE asmserve_sessions_recovered gauge")
-	fmt.Fprintf(w, "asmserve_sessions_recovered %d\n", sv.recovered)
-	fmt.Fprintln(w, "# HELP asmserve_idle_ttl_seconds Configured idle-passivation TTL (0 = passivation off).")
-	fmt.Fprintln(w, "# TYPE asmserve_idle_ttl_seconds gauge")
-	fmt.Fprintf(w, "asmserve_idle_ttl_seconds %g\n", sv.mgr.IdleTTL().Seconds())
 
 	fmt.Fprintln(w, "# HELP asmserve_step_seconds Latency of session steps (proposal fetch and observation commit), reactivation replay included.")
 	fmt.Fprintln(w, "# TYPE asmserve_step_seconds histogram")

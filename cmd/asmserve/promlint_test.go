@@ -9,18 +9,18 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"asti/internal/serve"
 )
 
 // promlint_test.go validates GET /metrics against the Prometheus text
 // exposition format (version 0.0.4) without importing a Prometheus
-// client: every line must parse, every family must carry HELP and TYPE
-// exactly once ahead of its samples, series must be unique and grouped
-// by family, and histograms must be cumulative with le="+Inf" equal to
-// their _count. A scrape that violates any of these is silently dropped
-// or misread by real Prometheus servers — drift here is an outage of
-// the monitoring contract, not a cosmetic bug.
+// client: every line must parse, every family must carry a non-empty
+// HELP and a valid TYPE exactly once ahead of its samples, counters and
+// only counters end in _total, series must be unique and grouped by
+// family with one label-key set per family, and histograms must be
+// cumulative with le="+Inf" equal to their _count. A scrape that
+// violates any of these is silently dropped or misread by real
+// Prometheus servers — drift here is an outage of the monitoring
+// contract, not a cosmetic bug.
 
 var (
 	promNameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -45,13 +45,20 @@ type promFamily struct {
 	samples   []promSample
 }
 
+// reporter is the part of *testing.T the exposition lint reports
+// through, so TestParseExpositionRules can capture its findings.
+type reporter interface {
+	Helper()
+	Errorf(format string, args ...any)
+}
+
 // familyOf maps a sample name to its family name: histogram samples
 // drop the _bucket/_sum/_count suffix when the base is a declared
 // histogram family.
-func familyOf(name string, families map[string]*promFamily) string {
+func familyOf(name string, fams map[string]*promFamily) string {
 	for _, suf := range []string{"_bucket", "_sum", "_count"} {
 		if base, ok := strings.CutSuffix(name, suf); ok {
-			if f := families[base]; f != nil && f.typ == "histogram" {
+			if f := fams[base]; f != nil && f.typ == "histogram" {
 				return base
 			}
 		}
@@ -62,9 +69,9 @@ func familyOf(name string, families map[string]*promFamily) string {
 // parseExposition parses and structurally validates one exposition body,
 // reporting violations through t.Errorf. It returns the families for
 // content-level checks.
-func parseExposition(t *testing.T, body string) map[string]*promFamily {
+func parseExposition(t reporter, body string) map[string]*promFamily {
 	t.Helper()
-	families := map[string]*promFamily{}
+	fams := map[string]*promFamily{}
 	order := []string{} // family grouping order
 	lastFamily := ""    // current sample group
 	closed := map[string]bool{}
@@ -86,10 +93,10 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 				t.Errorf("line %d: invalid metric name %q", lineNo, name)
 				continue
 			}
-			f := families[name]
+			f := fams[name]
 			if f == nil {
 				f = &promFamily{}
-				families[name] = f
+				fams[name] = f
 				order = append(order, name)
 			}
 			switch parts[1] {
@@ -135,13 +142,13 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 			}
 			labels[lm[1]] = lm[2]
 		}
-		fam := familyOf(name, families)
-		f := families[fam]
+		fam := familyOf(name, fams)
+		f := fams[fam]
 		if f == nil || f.typ == "" {
 			t.Errorf("line %d: sample %s has no TYPE declaration", lineNo, name)
 			if f == nil {
 				f = &promFamily{}
-				families[fam] = f
+				fams[fam] = f
 				order = append(order, fam)
 			}
 		}
@@ -173,7 +180,7 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 	}
 
 	for _, name := range order {
-		f := families[name]
+		f := fams[name]
 		if f.typ == "" {
 			t.Errorf("family %s: missing TYPE", name)
 		}
@@ -186,6 +193,24 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 		if f.typ == "counter" && !strings.HasSuffix(name, "_total") {
 			t.Errorf("family %s: counter without the _total suffix", name)
 		}
+		if f.typ != "" && f.typ != "counter" && strings.HasSuffix(name, "_total") {
+			t.Errorf("family %s: %s with the _total suffix (it promises counter semantics)", name, f.typ)
+		}
+		keySet := ""
+		for i, s := range f.samples {
+			keys := make([]string, 0, len(s.labels))
+			for k := range s.labels {
+				if k != "le" {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			if ks := strings.Join(keys, ","); i == 0 {
+				keySet = ks
+			} else if ks != keySet {
+				t.Errorf("line %d: family %s has label keys {%s}, earlier samples {%s}", s.line, name, ks, keySet)
+			}
+		}
 		for _, s := range f.samples {
 			if f.typ == "counter" && s.value < 0 {
 				t.Errorf("line %d: counter %s is negative (%g)", s.line, s.name, s.value)
@@ -195,14 +220,14 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 			validateHistogram(t, name, f)
 		}
 	}
-	return families
+	return fams
 }
 
 // validateHistogram checks one histogram family per label partition
 // (all labels except le): buckets must be cumulative and non-decreasing,
 // the +Inf bucket must exist and equal _count, and _sum/_count must each
 // appear exactly once.
-func validateHistogram(t *testing.T, name string, f *promFamily) {
+func validateHistogram(t reporter, name string, f *promFamily) {
 	t.Helper()
 	type part struct {
 		buckets  []promSample
@@ -317,47 +342,21 @@ func TestMetricsExpositionValid(t *testing.T) {
 	})
 
 	t.Run("busy", func(t *testing.T) {
-		e := newConfEnv(t, 16, serve.WithJournalDir(t.TempDir()))
-		// One session mid-campaign with a pending batch, one done, one
-		// passivated, one deleted: every phase the census can report.
-		e.pending()
-		e.done()
-		parked := e.create()
-		id := parked[strings.LastIndex(parked, "/")+1:]
-		if ok, err := e.mgr.Passivate(id); err != nil || !ok {
-			t.Fatalf("Passivate: ok=%v err=%v", ok, err)
-		}
-		e.deleted()
-
+		e, _ := busyEnv(t)
 		fams := parseExposition(t, scrape(t, e.ts.URL))
-		// The families docs/API.md promises must all be present.
-		for _, want := range []string{
-			"asmserve_sessions",
-			"asmserve_sessions_created_total",
-			"asmserve_sessions_closed_total",
-			"asmserve_proposals_total",
-			"asmserve_observations_total",
-			"asmserve_passivations_total",
-			"asmserve_reactivations_total",
-			"asmserve_checkpoints_total",
-			"asmserve_checkpoint_failures_total",
-			"asmserve_compactions_total",
-			"asmserve_compacted_bytes_total",
-			"asmserve_checkpoint_restores_total",
-			"asmserve_journal_retries_total",
-			"asmserve_journal_append_failures_total",
-			"asmserve_journal_disk_full_total",
-			"asmserve_emergency_compactions_total",
-			"asmserve_sessions_poisoned_total",
-			"asmserve_sessions_degraded",
-			"asmserve_journal_breaker_open",
-			"asmserve_pool_bytes",
-			"asmserve_journal_bytes",
-			"asmserve_step_seconds",
-		} {
-			if fams[want] == nil {
-				t.Errorf("family %s missing from the exposition", want)
+		// Every declared family must be present: the table's rows plus
+		// the hand-written census and step histograms around it.
+		want := []string{"asmserve_sessions", "asmserve_step_seconds"}
+		for _, f := range families {
+			want = append(want, f.name)
+		}
+		for _, name := range want {
+			if fams[name] == nil {
+				t.Errorf("family %s missing from the exposition", name)
 			}
+		}
+		if len(fams) != len(want) {
+			t.Errorf("exposition has %d families, want the %d declared", len(fams), len(want))
 		}
 		// Spot-check values the fixture pinned down.
 		expect := map[string]float64{
@@ -396,4 +395,50 @@ func TestMetricsExpositionValid(t *testing.T) {
 			t.Errorf("asmserve_step_seconds_count{op=next} = %g, want >= 2", nextCount)
 		}
 	})
+}
+
+// findings is a reporter that records the lint's messages.
+type findings []string
+
+func (f *findings) Helper() {}
+
+func (f *findings) Errorf(format string, args ...any) {
+	*f = append(*f, fmt.Sprintf(format, args...))
+}
+
+// TestParseExpositionRules feeds the lint one broken exposition per
+// naming and declaration rule and checks that rule fires, so a lint
+// that silently stops checking fails here rather than passing every
+// live scrape.
+func TestParseExpositionRules(t *testing.T) {
+	cases := []struct {
+		name, body, want string
+	}{
+		{"unknown kind", "# HELP a_total h\n# TYPE a_total countr\na_total 1\n", "unknown TYPE"},
+		{"counter without _total", "# HELP a h\n# TYPE a counter\na 1\n", "counter without the _total suffix"},
+		{"gauge with _total", "# HELP a_total h\n# TYPE a_total gauge\na_total 1\n", "gauge with the _total suffix"},
+		{"empty help", "# HELP a \n# TYPE a gauge\na 1\n", "missing HELP"},
+		{"duplicate help", "# HELP a h\n# HELP a h\n# TYPE a gauge\na 1\n", "duplicate HELP"},
+		{"duplicate type", "# HELP a h\n# TYPE a gauge\n# TYPE a gauge\na 1\n", "duplicate TYPE"},
+		{"invalid name", "# HELP 1a h\n", "invalid metric name"},
+		{"undeclared sample", "a 1\n", "no TYPE declaration"},
+		{"two label-key sets", "# HELP a h\n# TYPE a gauge\na{x=\"1\"} 1\na{y=\"1\"} 1\n", "label keys {y}"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got findings
+			parseExposition(&got, tc.body)
+			for _, msg := range got {
+				if strings.Contains(msg, tc.want) {
+					return
+				}
+			}
+			t.Errorf("no finding containing %q; got %q", tc.want, got)
+		})
+	}
+	var clean findings
+	parseExposition(&clean, "# HELP a_total h\n# TYPE a_total counter\na_total{x=\"1\"} 1\na_total{x=\"2\"} 2\n")
+	if len(clean) != 0 {
+		t.Errorf("valid exposition flagged: %q", clean)
+	}
 }

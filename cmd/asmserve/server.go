@@ -40,43 +40,6 @@ type createRequest struct {
 	Seed           uint64 `json:"seed"`
 }
 
-// statusResponse mirrors serve.Status on the wire.
-type statusResponse struct {
-	ID             string  `json:"id"`
-	Dataset        string  `json:"dataset"`
-	SamplerVersion int     `json:"sampler_version"`
-	Policy         string  `json:"policy"`
-	Model          string  `json:"model"`
-	N              int64   `json:"n"`
-	Eta            int64   `json:"eta"`
-	Phase          string  `json:"phase"`
-	Round          int     `json:"round"`
-	Pending        []int32 `json:"pending,omitempty"`
-	Seeds          int     `json:"seeds"`
-	Activated      int64   `json:"activated"`
-	EtaI           int64   `json:"eta_i"`
-	Done           bool    `json:"done"`
-	Durable        bool    `json:"durable"`
-	Passivations   int     `json:"passivations"`
-	PoolBytes      int64   `json:"pool_bytes"`
-	IdleSeconds    float64 `json:"idle_seconds"`
-	SelectSeconds  float64 `json:"select_seconds"`
-	// Checkpoints counts verified checkpoints this session has written;
-	// LastCheckpointRound is the round the newest one snapshots (both are
-	// restored from the checkpoint itself on recovery, so they are stable
-	// across restarts).
-	Checkpoints         int `json:"checkpoints"`
-	LastCheckpointRound int `json:"last_checkpoint_round"`
-	// Degraded marks a session serving non-durably after a final journal
-	// failure under the degrade policy, with the cause in DegradeReason;
-	// LastFailure records the newest journal failure either policy saw.
-	// All three are omitted while empty/false, so fault-free sessions
-	// serialize exactly as before (and identically across restarts).
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradeReason string `json:"degrade_reason,omitempty"`
-	LastFailure   string `json:"last_failure,omitempty"`
-}
-
 // healthResponse is the body of GET /healthz.
 type healthResponse struct {
 	OK bool `json:"ok"`
@@ -235,16 +198,11 @@ func (sv *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, toStatusResponse(s.Status()))
+	writeJSON(w, http.StatusCreated, s.Status())
 }
 
 func (sv *server) handleList(w http.ResponseWriter, r *http.Request) {
-	list := sv.mgr.List()
-	out := make([]statusResponse, len(list))
-	for i, st := range list {
-		out[i] = toStatusResponse(st)
-	}
-	writeJSON(w, http.StatusOK, map[string][]statusResponse{"sessions": out})
+	writeJSON(w, http.StatusOK, map[string][]serve.Status{"sessions": sv.mgr.List()})
 }
 
 func (sv *server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -255,7 +213,7 @@ func (sv *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, lookupStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toStatusResponse(s.Status()))
+	writeJSON(w, http.StatusOK, s.Status())
 }
 
 func (sv *server) handleNext(w http.ResponseWriter, r *http.Request) {
@@ -446,35 +404,6 @@ func stepStatus(err error) int {
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
-	}
-}
-
-func toStatusResponse(st serve.Status) statusResponse {
-	return statusResponse{
-		ID:                  st.ID,
-		Dataset:             st.Dataset,
-		SamplerVersion:      st.SamplerVersion,
-		Policy:              st.Policy,
-		Model:               st.Model,
-		N:                   st.N,
-		Eta:                 st.Eta,
-		Phase:               st.Phase,
-		Round:               st.Round,
-		Pending:             st.Pending,
-		Seeds:               st.Seeds,
-		Activated:           st.Activated,
-		EtaI:                st.EtaI,
-		Done:                st.Done,
-		Durable:             st.Durable,
-		Passivations:        st.Passivations,
-		PoolBytes:           st.PoolBytes,
-		IdleSeconds:         st.IdleSeconds,
-		SelectSeconds:       st.SelectSeconds,
-		Checkpoints:         st.Checkpoints,
-		LastCheckpointRound: st.LastCheckpointRound,
-		Degraded:            st.Degraded,
-		DegradeReason:       st.DegradeReason,
-		LastFailure:         st.LastFailure,
 	}
 }
 

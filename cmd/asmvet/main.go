@@ -25,7 +25,6 @@ import (
 	"asti/internal/analysis/passes/errclass"
 	"asti/internal/analysis/passes/hotpath"
 	"asti/internal/analysis/passes/lockcheck"
-	"asti/internal/analysis/passes/metriclint"
 )
 
 // analyzers is the registered suite, in catalog order.
@@ -34,7 +33,6 @@ var analyzers = []*analysis.Analyzer{
 	errclass.Analyzer,
 	hotpath.Analyzer,
 	lockcheck.Analyzer,
-	metriclint.Analyzer,
 }
 
 func main() {

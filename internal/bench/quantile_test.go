@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"asti/internal/hdr"
 )
 
 // TestPercentileInterpolates is the regression test for the harness's
@@ -37,23 +39,23 @@ func TestPercentileInterpolates(t *testing.T) {
 	}
 }
 
-// TestPercentileFSmallSamples pins the float variant on the degenerate
+// TestPercentileFSmallSamples pins the float quantile on the degenerate
 // sizes the recovery experiment feeds it (a handful of trials).
 func TestPercentileFSmallSamples(t *testing.T) {
-	if got := percentileF(nil, 0.99); got != 0 {
+	if got := hdr.QuantileOf(nil, 0.99); got != 0 {
 		t.Errorf("empty: %g, want 0", got)
 	}
-	if got := percentileF([]float64{3}, 0.99); got != 3 {
+	if got := hdr.QuantileOf([]float64{3}, 0.99); got != 3 {
 		t.Errorf("singleton: %g, want 3", got)
 	}
 	// Two samples: the p99 must be a blend, not simply the larger one.
-	got := percentileF([]float64{1, 2}, 0.99)
+	got := hdr.QuantileOf([]float64{1, 2}, 0.99)
 	if want := 1.99; math.Abs(got-want) > 1e-9 {
 		t.Errorf("pair p99 = %g, want %g", got, want)
 	}
 	// Unsorted input is sorted on a copy.
 	xs := []float64{5, 1, 3}
-	if got := percentileF(xs, 0.5); got != 3 {
+	if got := hdr.QuantileOf(xs, 0.5); got != 3 {
 		t.Errorf("median = %g, want 3", got)
 	}
 	if xs[0] != 5 {

@@ -11,6 +11,7 @@ import (
 	"asti/internal/diffusion"
 	"asti/internal/gen"
 	"asti/internal/graph"
+	"asti/internal/hdr"
 	"asti/internal/rng"
 	"asti/internal/rrset"
 	"asti/internal/serve"
@@ -198,7 +199,7 @@ func (r *Runner) serveRecovery(w io.Writer) error {
 			total += d.Seconds()
 		}
 		sl := StepLatency{Mode: mode, Steps: len(lats),
-			P50Seconds: percentileF(fl, 0.50), P99Seconds: percentileF(fl, 0.99)}
+			P50Seconds: hdr.QuantileOf(fl, 0.50), P99Seconds: hdr.QuantileOf(fl, 0.99)}
 		if len(lats) > 0 {
 			sl.MeanSeconds = total / float64(len(lats))
 		}
@@ -270,7 +271,7 @@ func (r *Runner) serveRecovery(w io.Writer) error {
 		Epsilon:              r.Profile.Epsilon,
 		SamplerVersion:       int(rrset.DefaultVersion),
 		Steps:                []StepLatency{mem, jrn},
-		OverheadP50Seconds:   percentileF(diffs, 0.50),
+		OverheadP50Seconds:   hdr.QuantileOf(diffs, 0.50),
 		IdenticalSelections:  identical,
 		Recovery:             curve,
 		CheckpointedRecovery: ckcurve,
@@ -365,8 +366,8 @@ func recoveryPoint(reg *serve.Registry, cfg serve.Config, g *graph.Graph, rounds
 			pt.Identical = false
 		}
 	}
-	pt.P50Seconds = percentileF(lats, 0.50)
-	pt.P99Seconds = percentileF(lats, 0.99)
+	pt.P50Seconds = hdr.QuantileOf(lats, 0.50)
+	pt.P99Seconds = hdr.QuantileOf(lats, 0.99)
 	return pt, nil
 }
 
@@ -408,8 +409,8 @@ func checkpointedRecoveryPoint(reg *serve.Registry, cfg serve.Config, rounds, in
 		return nil, fmt.Errorf("bench: %d-round recovery with interval %d: from_checkpoint=%v, want %v",
 			rounds, interval, pt.FromCheckpoint, rounds >= interval)
 	}
-	pt.P50Seconds = percentileF(lats, 0.50)
-	pt.P99Seconds = percentileF(lats, 0.99)
+	pt.P50Seconds = hdr.QuantileOf(lats, 0.50)
+	pt.P99Seconds = hdr.QuantileOf(lats, 0.99)
 	return pt, nil
 }
 
@@ -529,10 +530,10 @@ func passivationPoint(reg *serve.Registry, cfg serve.Config, rounds, trials int)
 			return nil, trialErr
 		}
 	}
-	pt.PassivateP50Seconds = percentileF(pass, 0.50)
-	pt.PassivateP99Seconds = percentileF(pass, 0.99)
-	pt.ReactivateP50Seconds = percentileF(react, 0.50)
-	pt.ReactivateP99Seconds = percentileF(react, 0.99)
+	pt.PassivateP50Seconds = hdr.QuantileOf(pass, 0.50)
+	pt.PassivateP99Seconds = hdr.QuantileOf(pass, 0.99)
+	pt.ReactivateP50Seconds = hdr.QuantileOf(react, 0.50)
+	pt.ReactivateP99Seconds = hdr.QuantileOf(react, 0.99)
 	return pt, nil
 }
 

@@ -167,13 +167,6 @@ func (rr *roundRecorder) SelectBatch(st *adaptive.State) ([]int32, error) {
 	return batch, nil
 }
 
-// percentileF returns the p-quantile (0 ≤ p ≤ 1) of xs on a sorted
-// copy, with the same interpolated (Hyndman–Fan type 7) estimator as
-// the duration-based percentile in serve.go.
-func percentileF(xs []float64, p float64) float64 {
-	return hdr.QuantileOf(xs, p)
-}
-
 // smallDeltaRun times a scripted campaign on g whose observation after
 // every round activates exactly the proposed batch, with reuse on and
 // off, verifying identical selections (the same scenario shape as
@@ -295,8 +288,8 @@ func (r *Runner) trimReuse(w io.Writer) error {
 		for i, rp := range rounds {
 			lat[i] = rp.Seconds
 		}
-		pr.P50RoundSeconds = percentileF(lat, 0.50)
-		pr.P99RoundSeconds = percentileF(lat, 0.99)
+		pr.P50RoundSeconds = hdr.QuantileOf(lat, 0.50)
+		pr.P99RoundSeconds = hdr.QuantileOf(lat, 0.99)
 		if pr.Seconds > 0 {
 			pr.SetsPerSec = float64(pr.SetsGenerated) / pr.Seconds
 		}

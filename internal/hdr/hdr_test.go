@@ -3,6 +3,7 @@ package hdr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -109,44 +110,66 @@ func TestHistogramMerge(t *testing.T) {
 // TestQuantileSmallSamples is the regression test for the nearest-rank
 // degeneration this package replaces: on tiny samples, high quantiles
 // must interpolate between order statistics, not collapse onto the max.
+// Every case goes through QuantileOf, so unsorted inputs are covered too.
 func TestQuantileSmallSamples(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct {
+		xs   []float64
 		p    float64
 		want float64
 	}{
-		{0, 1},
-		{0.25, 3.25},
-		{0.5, 5.5},
-		{0.75, 7.75},
-		{0.9, 9.1},
-		{0.99, 9.91}, // nearest-rank reported 10 — the max — for every p > 0.9
-		{0.999, 9.991},
-		{1, 10},
+		{ten, 0, 1},
+		{ten, 0.25, 3.25},
+		{ten, 0.5, 5.5},
+		{ten, 0.75, 7.75},
+		{ten, 0.9, 9.1},
+		{ten, 0.99, 9.91}, // nearest-rank reported 10 — the max — for every p > 0.9
+		{ten, 0.999, 9.991},
+		{ten, 1, 10},
+		// Degenerate sizes.
+		{nil, 0.5, 0},
+		{[]float64{42}, 0.99, 42},
+		{[]float64{1, 3}, 0.5, 2},
+		{[]float64{1, 2}, 0.99, 1.99}, // a blend, not simply the larger one
+		// Unsorted input: the extremes and the median of the sorted copy.
+		{[]float64{4, 2, 8, 6}, 0, 2},
+		{[]float64{4, 2, 8, 6}, 0.5, 5},
+		{[]float64{4, 2, 8, 6}, 1, 8},
 	}
 	for _, c := range cases {
-		if got := Quantile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(1..10, %g) = %g, want %g", c.p, got, c.want)
+		if got := QuantileOf(c.xs, c.p); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("QuantileOf(%v, %g) = %g, want %g", c.xs, c.p, got, c.want)
 		}
-	}
-	// Degenerate sizes.
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("empty: %g, want 0", got)
-	}
-	if got := Quantile([]float64{42}, 0.99); got != 42 {
-		t.Errorf("singleton: %g, want 42", got)
-	}
-	if got := Quantile([]float64{1, 3}, 0.5); got != 2 {
-		t.Errorf("pair median: %g, want 2", got)
 	}
 	// Monotone in p.
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 1.0; p += 0.01 {
-		q := Quantile(xs, p)
+		q := Quantile(ten, p)
 		if q < prev {
 			t.Fatalf("not monotone at p=%g: %g < %g", p, q, prev)
 		}
 		prev = q
+	}
+}
+
+// TestQuantileOfBounded (property): on random unsorted samples the
+// quantile is monotone in p and stays within [min, max].
+func TestQuantileOfBounded(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		xs := make([]float64, r.Intn(20)+1)
+		for i := range xs {
+			xs[i] = r.Float64() * 100
+		}
+		lo, hi := slices.Min(xs), slices.Max(xs)
+		prev := math.Inf(-1)
+		for p := 0.0; p <= 1.0; p += 0.1 {
+			v := QuantileOf(xs, p)
+			if v < prev-1e-9 || v < lo-1e-9 || v > hi+1e-9 {
+				t.Fatalf("QuantileOf(%v, %g) = %g: outside [%g, %g] or below p-0.1's %g", xs, p, v, lo, hi, prev)
+			}
+			prev = v
+		}
 	}
 }
 

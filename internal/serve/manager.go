@@ -916,8 +916,9 @@ func (m *Manager) CloseAll() {
 
 // Stats is the O(1) counter subset of Metrics, cheap enough for
 // per-request probes (/healthz): session and passivated counts plus the
-// lifetime passivation/reactivation counters. The memory gauges need a
-// table walk and live on Metrics.
+// lifetime lifecycle, checkpoint, resilience and throughput counters.
+// The census by phase and the memory gauges need a table walk and live
+// on Metrics.
 type Stats struct {
 	// Sessions is the number of open sessions, passivated included.
 	Sessions int
@@ -927,12 +928,17 @@ type Stats struct {
 	// manager was built.
 	Passivations  uint64
 	Reactivations uint64
-	// Checkpoints counts verified checkpoints written, Compactions the
-	// log truncations past them, and CheckpointRestores the recoveries
-	// and reactivations that resumed from a checkpoint instead of a full
-	// replay.
+	// Checkpoints counts verified checkpoints written, and
+	// CheckpointFailures the snapshots skipped because they failed
+	// write-time verification or encoding.
 	Checkpoints        uint64
-	Compactions        uint64
+	CheckpointFailures uint64
+	// Compactions counts log truncations past a checkpoint, and
+	// CompactedBytes the total journal bytes they reclaimed.
+	Compactions    uint64
+	CompactedBytes uint64
+	// CheckpointRestores counts the recoveries and reactivations that
+	// resumed from a checkpoint instead of a full replay.
 	CheckpointRestores uint64
 	// Poisoned counts sessions closed by a journal failure under the
 	// fail-stop policy, Degraded the sessions that switched to
@@ -965,105 +971,14 @@ type Stats struct {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.statsLocked()
+}
+
+// statsLocked snapshots the O(1) counters; callers hold m.mu.
+func (m *Manager) statsLocked() Stats {
 	st := Stats{
 		Sessions:             len(m.sessions),
 		Passivated:           m.passive,
-		Passivations:         m.passivations,
-		Reactivations:        m.reactivations,
-		Checkpoints:          m.checkpoints,
-		Compactions:          m.compactions,
-		CheckpointRestores:   m.ckptRestores,
-		Poisoned:             m.poisoned,
-		Degraded:             m.degradedTotal,
-		EmergencyCompactions: m.emergencyCompactions,
-		JournalHealthy:       m.breakerUntil.IsZero() || !time.Now().Before(m.breakerUntil),
-		BreakerTrips:         m.breakerTrips,
-		Creates:              m.creates.Load(),
-		Closes:               m.closes.Load(),
-		Proposals:            m.proposals.Load(),
-		Observations:         m.observations.Load(),
-	}
-	if m.journal != nil {
-		st.Journal = m.journal.Metrics()
-	}
-	return st
-}
-
-// Count returns the number of open sessions, passivated ones included
-// (O(1); health probes should prefer it over len(List()), which
-// snapshots every session).
-func (m *Manager) Count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.sessions)
-}
-
-// Metrics is a point-in-time roll-up of the manager's session table for
-// monitoring endpoints (/metrics, /healthz): population by phase, the
-// lifetime passivation/reactivation counters, and the memory gauges —
-// estimated sampling-pool bytes held in RAM and journal bytes held on
-// disk.
-type Metrics struct {
-	// Sessions is the number of open sessions, passivated included.
-	Sessions int
-	// Passivated is the number of currently passivated sessions.
-	Passivated int
-	// Phases counts sessions by phase name ("propose", "observe",
-	// "done", "passivated").
-	Phases map[string]int
-	// Passivations / Reactivations count lifecycle events since the
-	// manager was built.
-	Passivations  uint64
-	Reactivations uint64
-	// Checkpoints / CheckpointFailures count verified checkpoints written
-	// and snapshots skipped because they failed write-time verification.
-	Checkpoints        uint64
-	CheckpointFailures uint64
-	// Compactions counts log truncations past a checkpoint, and
-	// CompactedBytes the total journal bytes they reclaimed.
-	Compactions    uint64
-	CompactedBytes uint64
-	// CheckpointRestores counts recoveries/reactivations that resumed
-	// from a checkpoint instead of replaying the full history.
-	CheckpointRestores uint64
-	// Poisoned / Degraded / EmergencyCompactions / JournalHealthy /
-	// BreakerTrips / Journal mirror the Stats resilience counters (see
-	// Stats); DegradedNow is the walked gauge of sessions currently
-	// serving non-durably.
-	Poisoned             uint64
-	Degraded             uint64
-	DegradedNow          int
-	EmergencyCompactions uint64
-	JournalHealthy       bool
-	BreakerTrips         uint64
-	Journal              journal.StoreMetrics
-	// PoolBytes is the summed per-session sampling-pool estimate
-	// (passivated sessions contribute 0 — that is the point).
-	PoolBytes int64
-	// JournalBytes is the summed on-disk size of the open sessions' logs
-	// (0 for an unjournaled manager). With compaction on it stays bounded
-	// by the checkpoint interval instead of growing with campaign length.
-	JournalBytes int64
-	// Creates / Closes / Proposals / Observations count client-visible
-	// successes since the manager was built (replays excluded) — the
-	// server-side readout a load generator checks its throughput against.
-	Creates      uint64
-	Closes       uint64
-	Proposals    uint64
-	Observations uint64
-}
-
-// Metrics snapshots the manager for monitoring. It walks every session
-// (like List), so poll it at metrics-scrape cadence, not per request.
-func (m *Manager) Metrics() Metrics {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	st := m.journal
-	mt := Metrics{
-		Phases:               map[string]int{},
 		Passivations:         m.passivations,
 		Reactivations:        m.reactivations,
 		Checkpoints:          m.checkpoints,
@@ -1081,10 +996,48 @@ func (m *Manager) Metrics() Metrics {
 		Proposals:            m.proposals.Load(),
 		Observations:         m.observations.Load(),
 	}
-	m.mu.Unlock()
-	if st != nil {
-		mt.Journal = st.Metrics()
+	if m.journal != nil {
+		st.Journal = m.journal.Metrics()
 	}
+	return st
+}
+
+// Metrics is a point-in-time roll-up of the manager's session table for
+// monitoring endpoints (/metrics): every Stats counter plus the fields
+// that need a walk of the table — the census by phase, the degraded
+// gauge, and the memory gauges (estimated sampling-pool bytes held in
+// RAM and journal bytes held on disk).
+type Metrics struct {
+	// Stats carries the O(1) counters. Sessions and Passivated are
+	// recounted by the walk, so they always agree with Phases.
+	Stats
+	// Phases counts sessions by phase name ("propose", "observe",
+	// "done", "passivated").
+	Phases map[string]int
+	// DegradedNow is the number of open sessions currently serving
+	// non-durably (Degraded is the lifetime count).
+	DegradedNow int
+	// PoolBytes is the summed per-session sampling-pool estimate
+	// (passivated sessions contribute 0 — that is the point).
+	PoolBytes int64
+	// JournalBytes is the summed on-disk size of the open sessions' logs
+	// (0 for an unjournaled manager). With compaction on it stays bounded
+	// by the checkpoint interval instead of growing with campaign length.
+	JournalBytes int64
+}
+
+// Metrics snapshots the manager for monitoring. It walks every session
+// (like List), so poll it at metrics-scrape cadence, not per request.
+func (m *Manager) Metrics() Metrics {
+	m.mu.Lock()
+	sessions := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		sessions = append(sessions, s)
+	}
+	st := m.journal
+	mt := Metrics{Stats: m.statsLocked(), Phases: map[string]int{}}
+	m.mu.Unlock()
+	mt.Sessions, mt.Passivated = 0, 0
 	for _, s := range sessions {
 		stt := s.Status()
 		mt.Sessions++

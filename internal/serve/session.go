@@ -382,81 +382,86 @@ func (s *Session) Observe(activated []int32) (Progress, error) {
 	return s.progressLocked(newly), nil
 }
 
-// Status is a point-in-time snapshot of a session.
+// Status is a point-in-time snapshot of a session. Its json tags are the
+// asmserve wire shape of the status, create and list responses, in wire
+// order.
 type Status struct {
 	// ID is the manager-assigned session id.
-	ID string
+	ID string `json:"id"`
 	// Dataset is the registry name of the session's graph ("" when the
 	// session was built on an unregistered graph).
-	Dataset string
-	// Policy is the policy's report name.
-	Policy string
-	// Model names the diffusion model.
-	Model string
-	// N is the graph's node count.
-	N int64
-	// Eta is the campaign threshold η.
-	Eta int64
+	Dataset string `json:"dataset"`
 	// SamplerVersion is the sampler stream contract the session runs
 	// under (pinned at creation and journaled; 0 for sessions built
 	// directly with NewSession, which carry whatever their policy's
 	// config resolved to).
-	SamplerVersion int
+	SamplerVersion int `json:"sampler_version"`
+	// Policy is the policy's report name.
+	Policy string `json:"policy"`
+	// Model names the diffusion model.
+	Model string `json:"model"`
+	// N is the graph's node count.
+	N int64 `json:"n"`
+	// Eta is the campaign threshold η.
+	Eta int64 `json:"eta"`
 	// Phase is the loop position ("propose", "observe", "done",
 	// "closed").
-	Phase string
+	Phase string `json:"phase"`
 	// Round counts NextBatch proposals so far.
-	Round int
+	Round int `json:"round"`
 	// Pending is the batch awaiting observation (nil otherwise).
-	Pending []int32
+	Pending []int32 `json:"pending,omitempty"`
 	// Seeds is the total number of committed seeds.
-	Seeds int
+	Seeds int `json:"seeds"`
 	// Activated is the number of active nodes.
-	Activated int64
+	Activated int64 `json:"activated"`
 	// EtaI is the remaining shortfall max(η − Activated, 0).
-	EtaI int64
+	EtaI int64 `json:"eta_i"`
 	// Done reports whether η has been reached.
-	Done bool
+	Done bool `json:"done"`
 	// Durable reports whether the session is journaled (its state
 	// survives a process restart via Manager.Recover). Passivated
 	// sessions report true: passivation is only available to journaled
 	// sessions, and the journal is exactly where their state lives.
-	Durable bool
+	Durable bool `json:"durable"`
+	// Passivations counts how many times an idle sweep passivated this
+	// session (carried across reactivations and reported even while the
+	// session is passivated; reset by a process restart).
+	Passivations int `json:"passivations"`
+	// PoolBytes estimates the heap bytes held by the session's sampling
+	// pool (0 for passivated sessions — releasing that memory is what
+	// passivation is for). Manager.Metrics rolls the estimates up into a
+	// service-level gauge.
+	PoolBytes int64 `json:"pool_bytes"`
+	// IdleSeconds is the time since the session was last touched by a
+	// client call (proposal, observation, or manager lookup).
+	IdleSeconds float64 `json:"idle_seconds"`
+	// SelectSeconds is the cumulative policy-side selection time.
+	// Replayed rounds re-run selection, so after a recovery this restarts
+	// near the pre-crash value but is not byte-identical to it.
+	SelectSeconds float64 `json:"select_seconds"`
+	// Checkpoints is the sequence number of the session's newest journal
+	// checkpoint (0 = none), and LastCheckpointRound the round it covers.
+	// Both are restored from the checkpoint itself on recovery, so they
+	// are stable across a restart.
+	Checkpoints         int `json:"checkpoints"`
+	LastCheckpointRound int `json:"last_checkpoint_round"`
 	// Degraded reports that a final journal failure switched the session
 	// to non-durable serving under the degrade durability policy (Durable
 	// is false from that point on); DegradeReason carries the cause. A
 	// restart recovers the session from its frozen log — at the last
 	// durable transition, not at the degraded head — and clears the flag.
-	Degraded bool
+	// Degraded, DegradeReason and LastFailure are omitted from the wire
+	// while empty, so fault-free sessions serialize identically across
+	// restarts.
+	Degraded bool `json:"degraded,omitempty"`
 	// DegradeReason is the journal failure that degraded the session
 	// ("" unless Degraded).
-	DegradeReason string
+	DegradeReason string `json:"degrade_reason,omitempty"`
 	// LastFailure is the most recent final journal failure the session
 	// saw, whichever durability policy handled it ("" if none). For a
 	// poisoned (fail-stop) session this is why it closed.
-	LastFailure string
-	// Passivations counts how many times an idle sweep passivated this
-	// session (carried across reactivations and reported even while the
-	// session is passivated; reset by a process restart).
-	Passivations int
-	// Checkpoints is the sequence number of the session's newest journal
-	// checkpoint (0 = none), and LastCheckpointRound the round it covers.
-	// Both are restored from the checkpoint itself on recovery, so they
-	// are stable across a restart.
-	Checkpoints         int
-	LastCheckpointRound int
-	// PoolBytes estimates the heap bytes held by the session's sampling
-	// pool (0 for passivated sessions — releasing that memory is what
-	// passivation is for). Manager.Metrics rolls the estimates up into a
-	// service-level gauge.
-	PoolBytes int64
-	// IdleSeconds is the time since the session was last touched by a
-	// client call (proposal, observation, or manager lookup).
-	IdleSeconds float64
-	// SelectSeconds is the cumulative policy-side selection time.
-	// Replayed rounds re-run selection, so after a recovery this restarts
-	// near the pre-crash value but is not byte-identical to it.
-	SelectSeconds float64
+	LastFailure string `json:"last_failure,omitempty"`
 }
 
 // Status returns a snapshot of the session.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"asti/internal/hdr"
 	"asti/internal/rng"
 )
 
@@ -36,7 +37,7 @@ func BootstrapCI(xs []float64, level float64, resamples int, r *rng.Source) (lo,
 	}
 	sort.Float64s(means)
 	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha), nil
+	return hdr.Quantile(means, alpha), hdr.Quantile(means, 1-alpha), nil
 }
 
 // PairedPermutationTest tests whether paired samples a and b (same worlds,
@@ -149,4 +150,4 @@ func normalCDF(x float64) float64 {
 }
 
 // Median returns the sample median.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
+func Median(xs []float64) float64 { return hdr.QuantileOf(xs, 0.5) }

@@ -3,10 +3,7 @@
 // statistics shared by the experiment harness.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // CoverageLower is the high-probability lower bound on the expected
 // coverage E[Λ_R] given an observed coverage count and confidence
@@ -85,31 +82,6 @@ func Stddev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs by linear
-// interpolation on the sorted copy. Empty input yields 0.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // MinMax returns the minimum and maximum of xs (0,0 for empty input).

@@ -136,21 +136,15 @@ func TestSummaryStats(t *testing.T) {
 	if s := Stddev(xs); math.Abs(s-math.Sqrt(20.0/3)) > 1e-12 {
 		t.Fatalf("stddev %v", s)
 	}
-	if q := Quantile(xs, 0.5); q != 5 {
+	if q := Median(xs); q != 5 {
 		t.Fatalf("median %v", q)
-	}
-	if q := Quantile(xs, 0); q != 2 {
-		t.Fatalf("q0 %v", q)
-	}
-	if q := Quantile(xs, 1); q != 8 {
-		t.Fatalf("q1 %v", q)
 	}
 	min, max := MinMax(xs)
 	if min != 2 || max != 8 {
 		t.Fatalf("minmax %v %v", min, max)
 	}
 	// Empty-input conventions.
-	if Mean(nil) != 0 || Stddev(nil) != 0 || Quantile(nil, 0.5) != 0 {
+	if Mean(nil) != 0 || Stddev(nil) != 0 || Median(nil) != 0 {
 		t.Fatal("empty-input conventions broken")
 	}
 	if Stddev([]float64{3}) != 0 {
@@ -159,30 +153,5 @@ func TestSummaryStats(t *testing.T) {
 	min, max = MinMax(nil)
 	if min != 0 || max != 0 {
 		t.Fatal("empty MinMax")
-	}
-}
-
-// TestQuantileSorted (property): quantile is monotone in q and within
-// [min, max].
-func TestQuantileSorted(t *testing.T) {
-	r := rng.New(2)
-	if err := quick.Check(func(_ uint8) bool {
-		n := r.Intn(20) + 1
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64() * 100
-		}
-		min, max := MinMax(xs)
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := Quantile(xs, q)
-			if v < prev-1e-9 || v < min-1e-9 || v > max+1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
