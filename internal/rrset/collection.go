@@ -131,6 +131,23 @@ func (c *Collection) AddCountsOnly(set []int32) {
 	c.covAdd(set)
 }
 
+// mergeCounts accounts count counts-only sets with nodes members in
+// total whose per-node coverage is cov, nonzero exactly on touched, and
+// clears those cov entries so the caller's counter is zero again. It is
+// the merge half of a fanned-out counts-only batch (see workerState).
+func (c *Collection) mergeCounts(cov []int64, touched []int32, count int, nodes int64) {
+	for _, v := range touched {
+		if !c.inTouched[v] {
+			c.inTouched[v] = true
+			c.touched = append(c.touched, v)
+		}
+		c.cov[v] += cov[v]
+		cov[v] = 0
+	}
+	c.count += count
+	c.nodes += nodes
+}
+
 // Replace regenerates stored set id in place: coverage counters are
 // updated for the old and new members only (O(|old|+|new|)), the new data
 // reuses the old slot when it fits, and the inverted index is invalidated.

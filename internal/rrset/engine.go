@@ -93,7 +93,11 @@ type Request struct {
 	// would produce.
 	FirstIndex int64
 	// CountsOnly updates only the coverage counts Λ_R(v) in the target
-	// Collection without storing the sets.
+	// Collection without storing the sets. A fanned-out counts-only batch
+	// never copies a set out of its worker: each worker folds its sets
+	// into a private coverage counter that Generate merges afterwards.
+	// Integer sums do not depend on order, so Λ and the Fingerprint are
+	// the same for every worker count.
 	CountsOnly bool
 }
 
@@ -158,11 +162,38 @@ type Engine struct {
 // workerState is one worker's private scratch: a Sampler plus reusable
 // output arenas. It deliberately holds no Engine pointer so the pool
 // goroutines never keep an abandoned Engine alive.
+//
+// A stored batch appends its sets to out/lens/rootKs for Generate to
+// commit in set-index order. A counts-only batch keeps only the set in
+// hand in out and folds it into cov/touched/count/nodes, the worker's
+// share of the batch's coverage, which Generate merges and clears once
+// the batch is done.
 type workerState struct {
 	sampler *Sampler
 	out     []int32 // concatenated sets of the current batch
 	lens    []int32 // per-set lengths of the current batch
 	rootKs  []int32 // per-set root counts of the current batch
+
+	cov     []int64 // counts-only: per-node coverage of this worker's sets (sized n on first use)
+	touched []int32 // counts-only: nodes with cov > 0, each once
+	count   int     // counts-only: sets folded
+	nodes   int64   // counts-only: Σ|R| over the folded sets
+}
+
+// fold adds one counts-only set to the worker's private coverage. A
+// node joins the touched list when its counter leaves zero, so the
+// list names each counted node once.
+//
+//asm:hotpath
+func (ws *workerState) fold(set []int32) {
+	for _, v := range set {
+		if ws.cov[v] == 0 {
+			ws.touched = append(ws.touched, v)
+		}
+		ws.cov[v]++
+	}
+	ws.count++
+	ws.nodes += int64(len(set))
 }
 
 // genTask asks a pool worker for sets [lo, hi) of a batch. When ids is
@@ -174,6 +205,7 @@ type genTask struct {
 	seed     uint64
 	base     int64
 	ids      []int32
+	counts   bool // fold the sets into the worker's coverage instead of returning them (never for Refresh)
 	strat    RootStrategy
 	inactive []int32
 	active   *bitset.Set
@@ -282,30 +314,42 @@ func (e *Engine) start() {
 func poolWorker(tasks <-chan genTask, ws *workerState) {
 	var src rng.Source
 	for t := range tasks {
-		dataStart, lensStart := len(ws.out), len(ws.lens)
 		edges0, draws0 := ws.sampler.EdgesExamined, ws.sampler.RngDraws
 		// One mask copy up front buys a single-bitset hot loop for the
 		// whole task (see Sampler.PrimeActive); active is nil below.
 		ws.sampler.PrimeActive(t.active)
-		for i := t.lo; i < t.hi; i++ {
-			gidx := t.base + int64(i)
-			if t.ids != nil {
-				gidx = int64(t.ids[i])
+		res := taskResult{idx: t.idx}
+		if t.counts {
+			if ws.cov == nil {
+				ws.cov = make([]int64, ws.sampler.g.N())
 			}
-			src.Seed(rng.SplitMix64(t.seed + uint64(gidx)))
-			setStart := len(ws.out)
-			var k int32
-			ws.out, k = generateOne(ws.sampler, t.strat, t.inactive, nil, t.etai, &src, ws.out)
-			ws.lens = append(ws.lens, int32(len(ws.out)-setStart))
-			ws.rootKs = append(ws.rootKs, k)
+			for i := t.lo; i < t.hi; i++ {
+				src.Seed(rng.SplitMix64(t.seed + uint64(t.base+int64(i))))
+				ws.out, _ = generateOne(ws.sampler, t.strat, t.inactive, nil, t.etai, &src, ws.out[:0])
+				ws.fold(ws.out)
+			}
+		} else {
+			dataStart, lensStart := len(ws.out), len(ws.lens)
+			for i := t.lo; i < t.hi; i++ {
+				gidx := t.base + int64(i)
+				if t.ids != nil {
+					gidx = int64(t.ids[i])
+				}
+				src.Seed(rng.SplitMix64(t.seed + uint64(gidx)))
+				var k int32
+				setStart := len(ws.out)
+				ws.out, k = generateOne(ws.sampler, t.strat, t.inactive, nil, t.etai, &src, ws.out)
+				ws.lens = append(ws.lens, int32(len(ws.out)-setStart))
+				ws.rootKs = append(ws.rootKs, k)
+			}
+			res.data, res.lens, res.rootKs = ws.out[dataStart:], ws.lens[lensStart:], ws.rootKs[lensStart:]
+			if t.ids != nil {
+				res.ids = t.ids[t.lo:t.hi]
+			}
 		}
 		t.edges.Add(ws.sampler.EdgesExamined - edges0)
 		t.draws.Add(ws.sampler.RngDraws - draws0)
-		var ids []int32
-		if t.ids != nil {
-			ids = t.ids[t.lo:t.hi]
-		}
-		t.results <- taskResult{idx: t.idx, data: ws.out[dataStart:], lens: ws.lens[lensStart:], rootKs: ws.rootKs[lensStart:], ids: ids}
+		t.results <- res
 	}
 }
 
@@ -353,6 +397,18 @@ func (e *Engine) Generate(coll *Collection, req Request) GenStats {
 	}
 
 	ordered, edges, draws := e.fanOut(req, need, nil)
+	stats.EdgesExamined = edges
+	stats.RngDraws = draws
+	if req.CountsOnly {
+		// Every task has reported, so the workers' counters are complete
+		// and quiescent until the next batch is sent.
+		for _, ws := range e.states {
+			stats.SetNodes += ws.nodes
+			coll.mergeCounts(ws.cov, ws.touched, ws.count, ws.nodes)
+			ws.touched, ws.count, ws.nodes = ws.touched[:0], 0, 0
+		}
+		return stats
+	}
 	// Commit in set-index order so the Collection's stored-set ids are
 	// scheduling-independent.
 	for _, tr := range ordered {
@@ -360,16 +416,10 @@ func (e *Engine) Generate(coll *Collection, req Request) GenStats {
 		for si, l := range tr.lens {
 			set := tr.data[off : off+l]
 			off += l
-			if req.CountsOnly {
-				coll.AddCountsOnly(set)
-			} else {
-				coll.AddRooted(set, tr.rootKs[si])
-			}
+			coll.AddRooted(set, tr.rootKs[si])
 			stats.SetNodes += int64(len(set))
 		}
 	}
-	stats.EdgesExamined = edges
-	stats.RngDraws = draws
 	return stats
 }
 
@@ -448,6 +498,7 @@ func (e *Engine) fanOut(req Request, need int, ids []int32) ([]taskResult, int64
 		e.tasks <- genTask{
 			idx: ti, lo: lo, hi: hi,
 			seed: req.Seed, base: req.FirstIndex, ids: ids, strat: req.Strategy,
+			counts:   req.CountsOnly && ids == nil,
 			inactive: req.Inactive, active: req.Active, etai: req.EtaI,
 			results: results, edges: &edges, draws: &draws,
 		}

@@ -1,11 +1,14 @@
 package rrset
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"asti/internal/bitset"
 	"asti/internal/diffusion"
 	"asti/internal/gen"
+	"asti/internal/graph"
 	"asti/internal/rng"
 )
 
@@ -62,18 +65,89 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineCountsOnlyMatchesStored verifies the counts-only fast path
-// produces exactly the coverage counts of the storing path.
+// TestEngineCountsOnlyMatchesStored verifies that counts-only batches —
+// folded into per-worker counters and merged when they fan out, added
+// set by set when they run inline — account exactly what the storing
+// path at one worker does: the same fingerprint, node total, coverage of
+// every node and batch stats, for every worker count, model and root
+// strategy, over a batch split across two Generate calls (FirstIndex
+// continuation) and one below minParallelSets, under an active mask. A
+// Reset afterwards must leave the collection equal to a fresh one.
 func TestEngineCountsOnlyMatchesStored(t *testing.T) {
-	stored, _ := collect(t, 4, 400, MultiRoot(RoundRandomized), false)
-	counts, _ := collect(t, 4, 400, MultiRoot(RoundRandomized), true)
-	if stored.Size() != counts.Size() || stored.TotalNodes() != counts.TotalNodes() {
-		t.Fatalf("size/nodes mismatch: %d/%d vs %d/%d",
-			stored.Size(), stored.TotalNodes(), counts.Size(), counts.TotalNodes())
+	base, err := gen.PowerLaw(gen.PowerLawConfig{
+		Name: "counts-only", N: 3000, AvgDeg: 4, UniformMix: 0.4, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v := int32(0); v < 3000; v++ {
-		if stored.Coverage(v) != counts.Coverage(v) {
-			t.Fatalf("coverage of %d: %d stored vs %d counts-only", v, stored.Coverage(v), counts.Coverage(v))
+	wc, err := gen.PowerLaw(gen.PowerLawConfig{
+		Name: "counts-only", N: 3000, AvgDeg: 4, UniformMix: 0.4, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc.ApplyWeightedCascade()
+	active := bitset.New(int(base.N()))
+	var inactive []int32
+	for v := int32(0); v < base.N(); v++ {
+		if v%11 == 4 {
+			active.Set(v)
+		} else {
+			inactive = append(inactive, v)
+		}
+	}
+	batches := []struct {
+		first int64
+		count int
+	}{{0, 700}, {700, 500}, {1200, minParallelSets / 2}}
+
+	// run generates the batches into a fresh collection and returns it
+	// with each batch's stats.
+	run := func(g *graph.Graph, model diffusion.Model, workers int, strat RootStrategy, countsOnly bool) (*Collection, []GenStats) {
+		e := NewEngine(g, model, workers)
+		defer e.Close()
+		coll := NewCollection(g)
+		var stats []GenStats
+		for _, b := range batches {
+			stats = append(stats, e.Generate(coll, Request{
+				Strategy: strat, Inactive: inactive, Active: active, EtaI: 100,
+				Count: b.count, Seed: 0xDEC0DE, FirstIndex: b.first, CountsOnly: countsOnly,
+			}))
+		}
+		return coll, stats
+	}
+	same := func(t *testing.T, got, want *Collection) {
+		t.Helper()
+		if got.Size() != want.Size() || got.TotalNodes() != want.TotalNodes() || got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("size/nodes/fingerprint %d/%d/%x, want %d/%d/%x", got.Size(), got.TotalNodes(), got.Fingerprint(),
+				want.Size(), want.TotalNodes(), want.Fingerprint())
+		}
+		for v := int32(0); v < want.n; v++ {
+			if got.Coverage(v) != want.Coverage(v) {
+				t.Fatalf("coverage of %d: %d, want %d", v, got.Coverage(v), want.Coverage(v))
+			}
+		}
+	}
+
+	for _, mc := range []struct {
+		model diffusion.Model
+		g     *graph.Graph
+	}{{diffusion.IC, base}, {diffusion.LT, wc}} {
+		for _, strat := range []RootStrategy{SingleRoot(), MultiRoot(RoundRandomized)} {
+			ref, refStats := run(mc.g, mc.model, 1, strat, false)
+			for _, workers := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/multi=%v/workers=%d", mc.model, strat.Multi(), workers), func(t *testing.T) {
+					counts, stats := run(mc.g, mc.model, workers, strat, true)
+					same(t, counts, ref)
+					for i := range stats {
+						if stats[i] != refStats[i] {
+							t.Fatalf("batch %d stats %+v, want %+v", i, stats[i], refStats[i])
+						}
+					}
+					counts.Reset()
+					same(t, counts, NewCollection(mc.g))
+				})
+			}
 		}
 	}
 }
@@ -269,7 +343,10 @@ func BenchmarkCoverageOf(b *testing.B) {
 }
 
 // BenchmarkEngineGenerate measures engine throughput at the configured
-// GOMAXPROCS worker count.
+// GOMAXPROCS worker count for counts-only and stored batches. The warm
+// rows reuse one engine and collection (Reset per op); the fresh rows
+// build both per op, as each new session does, so the worker arenas and
+// counters a session grows show up in B/op.
 func BenchmarkEngineGenerate(b *testing.B) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{Name: "bench", N: 20000, AvgDeg: 3, UniformMix: 0.4, Seed: 1})
 	if err != nil {
@@ -279,15 +356,35 @@ func BenchmarkEngineGenerate(b *testing.B) {
 	for i := range nodes {
 		nodes[i] = int32(i)
 	}
-	e := NewEngine(g, diffusion.IC, 0)
-	defer e.Close()
-	coll := NewCollection(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coll.Reset()
-		e.Generate(coll, Request{
+	req := func(i int, countsOnly bool) Request {
+		return Request{
 			Strategy: MultiRoot(RoundRandomized), Inactive: nodes, EtaI: 1000,
-			Count: 2048, Seed: uint64(i), CountsOnly: true,
+			Count: 2048, Seed: uint64(i), CountsOnly: countsOnly,
+		}
+	}
+	for _, countsOnly := range []bool{true, false} {
+		mode := "stored"
+		if countsOnly {
+			mode = "counts"
+		}
+		b.Run(mode+"/warm", func(b *testing.B) {
+			e := NewEngine(g, diffusion.IC, 0)
+			defer e.Close()
+			coll := NewCollection(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				coll.Reset()
+				e.Generate(coll, req(i, countsOnly))
+			}
+		})
+		b.Run(mode+"/fresh", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := NewEngine(g, diffusion.IC, 0)
+				e.Generate(NewCollection(g), req(i, countsOnly))
+				e.Close()
+			}
 		})
 	}
 }

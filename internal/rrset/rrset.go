@@ -91,7 +91,10 @@ type Sampler struct {
 
 	// EdgesExamined accumulates the number of in-edges looked at across all
 	// generated sets; the cost model behind Lemma 3.8 (and our EPT
-	// benchmarks) counts exactly this.
+	// benchmarks) counts exactly this. On uniform LT blocks, whose pick is
+	// computed rather than scanned, it still counts the edges the
+	// cumulative scan would examine (see propagateLT), so the figure does
+	// not depend on how the pick is found.
 	EdgesExamined int64
 	// RngDraws accumulates the number of values consumed from the per-set
 	// streams by the propagate kernel (edge coins and geometric jumps, not
@@ -479,8 +482,21 @@ func (s *Sampler) propagateIC(active *bitset.Set, r *rng.Source, dst []int32, ba
 	return dst
 }
 
-// propagateLT is the LT walk: per dequeued node, one Float64 picks v's
-// single live in-edge (or the residual mass).
+// propagateLT is the LT walk: per dequeued node, one Float64 x picks v's
+// single live in-edge — the first i whose cumulative weight
+// P[0]+…+P[i] (summed in float64, in block order) exceeds x — or the
+// residual mass when none does.
+//
+// On a uniform block (graph.InUniform; every weighted-cascade block is
+// one) the pick is computed instead of scanned, with the same answer
+// bit for bit: p is a float32, so i·p needs at most 24+29 significand
+// bits and every partial sum the scan forms is exactly i·p in float64
+// for d < 2²⁹. The scan's pick is therefore ⌊x/p⌋ (the residual mass
+// when that reaches d), and ltUniformPick shows why the rounded float64
+// quotient floors to exactly that.
+//
+// EdgesExamined keeps the scan's cost-model count on both paths: ci+1
+// for a picked edge, d when the residual mass wins.
 //
 //asm:hotpath
 func (s *Sampler) propagateLT(active *bitset.Set, r *rng.Source, dst []int32, base int) []int32 {
@@ -494,13 +510,17 @@ func (s *Sampler) propagateLT(active *bitset.Set, r *rng.Source, dst []int32, ba
 		in := s.inEdge[lo:hi]
 		draws++
 		x := r.Float64()
-		var acc float64
 		ci := -1
-		for i := range in {
-			acc += float64(in[i].P)
-			if x < acc {
-				ci = i
-				break
+		if len(in) < ltPickMaxDeg && s.g.InUniform(v) {
+			ci = ltUniformPick(x, float64(in[0].P), len(in))
+		} else {
+			var acc float64
+			for i := range in {
+				acc += float64(in[i].P)
+				if x < acc {
+					ci = i
+					break
+				}
 			}
 		}
 		if ci < 0 {
@@ -519,6 +539,30 @@ func (s *Sampler) propagateLT(active *bitset.Set, r *rng.Source, dst []int32, ba
 	s.EdgesExamined += edges
 	s.RngDraws += draws
 	return dst
+}
+
+// ltPickMaxDeg bounds the blocks ltUniformPick serves: below 2²⁹ edges
+// every product i·p of a float32 weight is exact in float64.
+const ltPickMaxDeg = 1 << 29
+
+// ltUniformPick returns the edge the cumulative scan picks for x on a
+// uniform block of d edges of weight p (d < ltPickMaxDeg), or -1 when
+// the residual mass wins: the count of j ∈ [1,d] with x ≥ j·p, which the
+// rounded quotient gives exactly. The float64 below any y > 0 is at most
+// y·(1−2⁻⁵³), so x < k·p (k·p exact) bounds x/p by k·(1−2⁻⁵³), more than
+// half a float64 spacing below k, and the quotient rounds below k; x ≥
+// k·p gives x/p ≥ k, and the quotient rounds to at least k. p ≤ 0 (or
+// NaN) never reaches any x ∈ [0,1), as in the scan.
+//
+//asm:hotpath
+func ltUniformPick(x, p float64, d int) int {
+	if !(p > 0) {
+		return -1
+	}
+	if q := x / p; q < float64(d) {
+		return int(q)
+	}
+	return -1
 }
 
 // icCoins is the per-edge Bernoulli walk over one fused block — V1's
