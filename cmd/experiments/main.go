@@ -9,8 +9,8 @@
 //	experiments -exp export-csv-ic -o sweep.csv
 //
 // Output is aligned text with the same rows/series as the paper's
-// evaluation (figure experiments also render ASCII charts); see
-// EXPERIMENTS.md for the paper-vs-measured comparison.
+// evaluation (figure experiments also render ASCII charts);
+// docs/ARCHITECTURE.md maps each paper figure and table to its id.
 package main
 
 import (

@@ -11,13 +11,14 @@ import (
 )
 
 // EvaluateParallel is Evaluate with the per-world runs spread across
-// `workers` goroutines. Results are bit-identical to Evaluate with the
-// same seed: each world w derives both its realization seed and its
+// `workers` goroutines. Each world w derives its realization seed and its
 // policy seed from SplitMix64 of (seed, w), independent of scheduling, so
-// parallel and sequential evaluation agree and two policies evaluated in
-// parallel with equal seeds still see equal worlds (the paper's paired
-// protocol). Selection-time measurements are per-goroutine wall times;
-// under contention they run slightly hotter than sequential ones.
+// results do not depend on the worker count, and two policies evaluated
+// with equal seeds see equal worlds (the paper's paired protocol). The
+// worlds differ from Evaluate's with the same seed, which draws them from
+// a Split() chain, so the two are not interchangeable. Selection-time
+// measurements are per-goroutine wall times; under contention they run
+// slightly hotter than sequential ones.
 //
 // workers ≤ 0 selects GOMAXPROCS. The factory must return a FRESH policy
 // per call (policies are not safe for concurrent use).

@@ -191,8 +191,8 @@ func TestATEUCSeedsDistinctAcrossDoubling(t *testing.T) {
 
 // TestATEUCHonorsSampleCap: MaxSets bounds the RR pool, the cap is
 // recorded, and a usable set still comes back. The cap is what keeps
-// ATEUC's wall-clock flat across thresholds in the harness (EXPERIMENTS.md
-// records this as a deviation from the paper's decreasing-runtime claim).
+// ATEUC's wall-clock flat across thresholds in the harness, a deviation
+// from the paper's decreasing-runtime claim.
 func TestATEUCHonorsSampleCap(t *testing.T) {
 	g := testGraph(t)
 	a := &ATEUC{Epsilon: 0.5, MaxSets: 512}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,8 +203,11 @@ func TestRunnerDispatch(t *testing.T) {
 			t.Fatalf("%s produced no output", id)
 		}
 	}
-	if err := r.Run("not-an-experiment", &buf); err == nil {
-		t.Fatal("unknown experiment accepted")
+	// The last two are the ids folded into "matrix".
+	for _, id := range []string{"not-an-experiment", "serve-throughput", "parallel-speedup"} {
+		if err := r.Run(id, &buf); err == nil {
+			t.Fatalf("unknown experiment %q accepted", id)
+		}
 	}
 	s1, err := r.sweep(diffusion.IC)
 	if err != nil {
@@ -215,6 +219,25 @@ func TestRunnerDispatch(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Fatal("sweep cache miss")
+	}
+}
+
+// TestExperimentsPaperOrder pins the id list `-exp all` walks.
+func TestExperimentsPaperOrder(t *testing.T) {
+	want := []string{
+		"table2", "fig3",
+		"fig4", "fig5", "fig6", "fig7",
+		"table3", "fig8", "fig9", "fig10",
+		"heuristics", "significance",
+		"ablation-rounding", "ablation-batch", "ablation-truncated",
+		"ablation-scaling", "ablation-adaptivity", "ablation-vaswani",
+		"ablation-weighting", "ablation-imsolvers",
+		"serve-recovery", "trim",
+		"matrix",
+		"export-ic", "export-lt", "export-csv-ic", "export-csv-lt",
+	}
+	if got := Experiments(); !slices.Equal(got, want) {
+		t.Errorf("Experiments() = %v\nwant %v", got, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
-	"time"
 
 	"asti/internal/adaptive"
 	"asti/internal/baselines"
@@ -14,23 +13,74 @@ import (
 	"asti/internal/gen"
 	"asti/internal/graph"
 	"asti/internal/rng"
-	"asti/internal/trim"
 )
+
+// experiment pairs a regenerable experiment id with its runner.
+type experiment struct {
+	id  string
+	run func(*Runner, io.Writer) error
+}
+
+// experiments declares every experiment once, in paper order: Experiments
+// lists its ids and Run dispatches through it, so an id cannot exist
+// without a runner or the reverse.
+var experiments = []experiment{
+	{"table2", (*Runner).table2},
+	{"fig3", (*Runner).fig3},
+	{"fig4", fromSweep(diffusion.IC, (*Sweep).ReportSeeds, MetricSeeds)},
+	{"fig5", fromSweep(diffusion.IC, (*Sweep).ReportTimes, MetricSeconds)},
+	{"fig6", fromSweep(diffusion.LT, (*Sweep).ReportSeeds, MetricSeeds)},
+	{"fig7", fromSweep(diffusion.LT, (*Sweep).ReportTimes, MetricSeconds)},
+	{"table3", (*Runner).table3},
+	{"fig8", (*Runner).fig8},
+	{"fig9", fromSweep(diffusion.IC, (*Sweep).ReportSpreads, MetricSpread)},
+	{"fig10", fromSweep(diffusion.IC, (*Sweep).ReportTrace)},
+	{"heuristics", (*Runner).heuristics},
+	{"significance", (*Runner).significance},
+	{"ablation-rounding", (*Runner).ablationRounding},
+	{"ablation-batch", (*Runner).ablationBatch},
+	{"ablation-truncated", (*Runner).ablationTruncated},
+	{"ablation-scaling", (*Runner).ablationScaling},
+	{"ablation-adaptivity", (*Runner).ablationAdaptivity},
+	{"ablation-vaswani", (*Runner).ablationVaswani},
+	{"ablation-weighting", (*Runner).ablationWeighting},
+	{"ablation-imsolvers", (*Runner).ablationIMSolvers},
+	{"serve-recovery", (*Runner).serveRecovery},
+	{"trim", (*Runner).trimReuse},
+	{"matrix", (*Runner).matrix},
+	{"export-ic", fromSweep(diffusion.IC, (*Sweep).WriteJSON)},
+	{"export-lt", fromSweep(diffusion.LT, (*Sweep).WriteJSON)},
+	{"export-csv-ic", fromSweep(diffusion.IC, (*Sweep).WriteCSV)},
+	{"export-csv-lt", fromSweep(diffusion.LT, (*Sweep).WriteCSV)},
+}
+
+// fromSweep is the runner of a sweep-backed id: write renders the cached
+// sweep of model, followed by one ASCII chart set per metric in charts.
+func fromSweep(model diffusion.Model, write func(*Sweep, io.Writer) error, charts ...Metric) func(*Runner, io.Writer) error {
+	return func(r *Runner, w io.Writer) error {
+		s, err := r.sweep(model)
+		if err != nil {
+			return err
+		}
+		if err := write(s, w); err != nil {
+			return err
+		}
+		for _, m := range charts {
+			if err := s.Charts(w, m); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // Experiments lists the regenerable experiment ids, in paper order.
 func Experiments() []string {
-	return []string{
-		"table2", "fig3",
-		"fig4", "fig5", "fig6", "fig7",
-		"table3", "fig8", "fig9", "fig10",
-		"heuristics", "significance",
-		"ablation-rounding", "ablation-batch", "ablation-truncated",
-		"ablation-scaling", "ablation-adaptivity", "ablation-vaswani",
-		"ablation-weighting", "ablation-imsolvers",
-		"parallel-speedup", "serve-throughput", "serve-recovery", "trim",
-		"matrix",
-		"export-ic", "export-lt", "export-csv-ic", "export-csv-lt",
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Runner executes experiments against one profile, caching the two model
@@ -41,8 +91,9 @@ type Runner struct {
 	Progress io.Writer // nil silences progress lines
 	// BenchDir, when non-empty, receives machine-readable
 	// BENCH_<experiment>.json files from perf experiments ("trim" →
-	// BENCH_trim.json, "serve-recovery" → BENCH_serve.json), so the perf
-	// trajectory can be tracked PR-over-PR.
+	// BENCH_trim.json, "serve-recovery" → BENCH_serve.json, "matrix" →
+	// BENCH_matrix.json), so the perf trajectory can be tracked
+	// PR-over-PR.
 	BenchDir string
 
 	sweeps map[diffusion.Model]*Sweep
@@ -66,127 +117,37 @@ func (r *Runner) sweep(model diffusion.Model) (*Sweep, error) {
 	return s, nil
 }
 
-// Run executes one experiment by id, writing its report to w.
+// Run executes one experiment by id ("all" runs every one in order),
+// writing its report to w.
 func (r *Runner) Run(id string, w io.Writer) error {
-	switch id {
-	case "table2":
-		return r.table2(w)
-	case "fig3":
-		return r.fig3(w)
-	case "fig4":
-		s, err := r.sweep(diffusion.IC)
-		if err != nil {
-			return err
-		}
-		s.ReportSeeds(w)
-		return s.Charts(w, MetricSeeds)
-	case "fig5":
-		s, err := r.sweep(diffusion.IC)
-		if err != nil {
-			return err
-		}
-		s.ReportTimes(w)
-		return s.Charts(w, MetricSeconds)
-	case "fig6":
-		s, err := r.sweep(diffusion.LT)
-		if err != nil {
-			return err
-		}
-		s.ReportSeeds(w)
-		return s.Charts(w, MetricSeeds)
-	case "fig7":
-		s, err := r.sweep(diffusion.LT)
-		if err != nil {
-			return err
-		}
-		s.ReportTimes(w)
-		return s.Charts(w, MetricSeconds)
-	case "fig9":
-		s, err := r.sweep(diffusion.IC)
-		if err != nil {
-			return err
-		}
-		s.ReportSpreads(w)
-		return s.Charts(w, MetricSpread)
-	case "fig10":
-		s, err := r.sweep(diffusion.IC)
-		if err != nil {
-			return err
-		}
-		s.ReportTrace(w)
-	case "table3":
-		ic, err := r.sweep(diffusion.IC)
-		if err != nil {
-			return err
-		}
-		lt, err := r.sweep(diffusion.LT)
-		if err != nil {
-			return err
-		}
-		ReportTable3(w, ic, lt)
-	case "fig8":
-		return r.fig8(w)
-	case "heuristics":
-		return r.heuristics(w)
-	case "significance":
-		return r.significance(w)
-	case "ablation-adaptivity":
-		return r.ablationAdaptivity(w)
-	case "ablation-vaswani":
-		return r.ablationVaswani(w)
-	case "ablation-weighting":
-		return r.ablationWeighting(w)
-	case "ablation-imsolvers":
-		return r.ablationIMSolvers(w)
-	case "ablation-rounding":
-		return r.ablationRounding(w)
-	case "ablation-batch":
-		return r.ablationBatch(w)
-	case "ablation-truncated":
-		return r.ablationTruncated(w)
-	case "ablation-scaling":
-		return r.ablationScaling(w)
-	case "parallel-speedup":
-		return r.parallelSpeedup(w)
-	case "serve-throughput":
-		return r.serveThroughput(w)
-	case "serve-recovery":
-		return r.serveRecovery(w)
-	case "trim":
-		return r.trimReuse(w)
-	case "matrix":
-		return r.matrix(w)
-	case "export-ic", "export-lt":
-		model := diffusion.IC
-		if id == "export-lt" {
-			model = diffusion.LT
-		}
-		s, err := r.sweep(model)
-		if err != nil {
-			return err
-		}
-		return s.WriteJSON(w)
-	case "export-csv-ic", "export-csv-lt":
-		model := diffusion.IC
-		if id == "export-csv-lt" {
-			model = diffusion.LT
-		}
-		s, err := r.sweep(model)
-		if err != nil {
-			return err
-		}
-		return s.WriteCSV(w)
-	case "all":
-		for _, id := range Experiments() {
-			if err := r.Run(id, w); err != nil {
-				return fmt.Errorf("bench: %s: %w", id, err)
+	if id == "all" {
+		for _, e := range experiments {
+			if err := e.run(r, w); err != nil {
+				return fmt.Errorf("bench: %s: %w", e.id, err)
 			}
 			fmt.Fprintln(w)
 		}
-	default:
-		return fmt.Errorf("bench: unknown experiment %q (known: %v, plus \"all\")", id, Experiments())
+		return nil
 	}
-	return nil
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(r, w)
+		}
+	}
+	return fmt.Errorf("bench: unknown experiment %q (known: %v, plus \"all\")", id, Experiments())
+}
+
+// table3 prints the ASTI-over-ATEUC improvement table from both sweeps.
+func (r *Runner) table3(w io.Writer) error {
+	ic, err := r.sweep(diffusion.IC)
+	if err != nil {
+		return err
+	}
+	lt, err := r.sweep(diffusion.LT)
+	if err != nil {
+		return err
+	}
+	return ReportTable3(w, ic, lt)
 }
 
 // table2 prints the dataset details table (paper Table 2).
@@ -275,8 +236,7 @@ func (r *Runner) fig8(w io.Writer) error {
 		fmt.Fprintln(tw, "realization\tASTI spread\tASTI seeds\tATEUC spread\tATEUC reached")
 		var astiOver, ateucOver, ateucMiss int
 		for i, φ := range worlds {
-			pol := trim.MustNew(trim.Config{Epsilon: r.Profile.Epsilon, Batch: 1, Truncated: true,
-				MaxSetsPerRound: r.Profile.MaxSetsPerRound, Workers: r.Profile.Workers, ReusePool: r.Profile.reusePool()})
+			pol := r.Profile.trimPolicy(1, true)
 			res, err := adaptive.Run(g, model, eta, pol, φ, rng.New(r.Profile.Seed+uint64(i)))
 			pol.Close()
 			if err != nil {
@@ -419,8 +379,7 @@ func (r *Runner) ablationBatch(w io.Writer) error {
 		var seeds, spread, secs float64
 		var sets, rounds int64
 		for i, φ := range worlds {
-			pol := trim.MustNew(trim.Config{Epsilon: r.Profile.Epsilon, Batch: b, Truncated: true,
-				MaxSetsPerRound: r.Profile.MaxSetsPerRound, Workers: r.Profile.Workers, ReusePool: r.Profile.reusePool()})
+			pol := r.Profile.trimPolicy(b, true)
 			res, err := adaptive.Run(g, diffusion.IC, eta, pol, φ, rng.New(r.Profile.Seed+uint64(i)+uint64(b)<<8))
 			pol.Close()
 			if err != nil {
@@ -465,14 +424,11 @@ func (r *Runner) ablationTruncated(w io.Writer) error {
 		var seeds, secs float64
 		var sets int64
 		for i, φ := range worlds {
-			pol := trim.MustNew(trim.Config{Epsilon: r.Profile.Epsilon, Batch: 1, Truncated: truncated,
-				MaxSetsPerRound: r.Profile.MaxSetsPerRound, Workers: r.Profile.Workers, ReusePool: r.Profile.reusePool()})
-			t0 := time.Now()
+			pol := r.Profile.trimPolicy(1, truncated)
 			res, err := adaptive.Run(g, diffusion.IC, eta, pol, φ, rng.New(r.Profile.Seed+uint64(i)))
 			if err != nil {
 				return err
 			}
-			_ = t0
 			seeds += float64(len(res.Seeds))
 			secs += res.Duration.Seconds()
 			sets += pol.Stats.Sets

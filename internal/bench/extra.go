@@ -17,7 +17,6 @@ import (
 	"asti/internal/rng"
 	"asti/internal/stats"
 	"asti/internal/trace"
-	"asti/internal/trim"
 )
 
 // Metric selects which per-cell aggregate a chart or export reports.
@@ -44,11 +43,11 @@ func (m Metric) label() string {
 func (m Metric) of(c *Cell) float64 {
 	switch m {
 	case MetricSeeds:
-		return mean(c.Seeds)
+		return stats.Mean(c.Seeds)
 	case MetricSeconds:
-		return mean(c.Seconds)
+		return stats.Mean(c.Seconds)
 	default:
-		return mean(c.Spreads)
+		return stats.Mean(c.Spreads)
 	}
 }
 
@@ -138,8 +137,7 @@ func (r *Runner) heuristics(w io.Writer) error {
 
 	policies := []func() adaptive.Policy{
 		func() adaptive.Policy {
-			return trim.MustNew(trim.Config{Epsilon: r.Profile.Epsilon, Batch: 1, Truncated: true,
-				MaxSetsPerRound: r.Profile.MaxSetsPerRound, Workers: r.Profile.Workers, ReusePool: r.Profile.reusePool()})
+			return r.Profile.trimPolicy(1, true)
 		},
 		func() adaptive.Policy { return &baselines.PageRankPolicy{} },
 		func() adaptive.Policy { return &baselines.DegreeDiscountPolicy{} },
@@ -222,7 +220,7 @@ func (r *Runner) ablationVaswani(w io.Writer) error {
 	}
 	g.ApplyWeightedCascade()
 	eta := etaFor(g, 0.1)
-	worlds := sampleWorlds(g, diffusion.IC, minInt(r.Profile.Realizations, 3), r.Profile.Seed^0x52)
+	worlds := sampleWorlds(g, diffusion.IC, min(r.Profile.Realizations, 3), r.Profile.Seed^0x52)
 	fmt.Fprintf(w, "# Ablation — Vaswani–Lakshmanan estimator overhead (Eq. 7) on %s, IC, η=%d\n", g.Name(), eta)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "policy\tseeds\ttraversals\tcap hits")
@@ -246,8 +244,7 @@ func (r *Runner) ablationVaswani(w io.Writer) error {
 	var seeds float64
 	var sets int64
 	for i, φ := range worlds {
-		pol := trim.MustNew(trim.Config{Epsilon: r.Profile.Epsilon, Batch: 1, Truncated: true,
-			MaxSetsPerRound: r.Profile.MaxSetsPerRound, Workers: r.Profile.Workers, ReusePool: r.Profile.reusePool()})
+		pol := r.Profile.trimPolicy(1, true)
 		res, err := adaptive.Run(g, diffusion.IC, eta, pol, φ, rng.New(r.Profile.Seed+uint64(i)))
 		pol.Close()
 		if err != nil {
@@ -315,7 +312,7 @@ func (r *Runner) significance(w io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%.1f [%.1f, %.1f]\t%.1f\t%+.1f\t%.3f\t%.3f\n",
-				ds, name, mean(asti.Seeds), lo, hi, mean(c.Seeds), diff, p, wp)
+				ds, name, stats.Mean(asti.Seeds), lo, hi, stats.Mean(c.Seeds), diff, p, wp)
 		}
 	}
 	return tw.Flush()
@@ -412,8 +409,7 @@ func (r *Runner) ablationWeighting(w io.Writer) error {
 		var seeds, spread, secs float64
 		var sets int64
 		for i, φ := range worlds {
-			pol := trim.MustNew(trim.Config{Epsilon: r.Profile.Epsilon, Batch: 1, Truncated: true,
-				MaxSetsPerRound: r.Profile.MaxSetsPerRound, Workers: r.Profile.Workers, ReusePool: r.Profile.reusePool()})
+			pol := r.Profile.trimPolicy(1, true)
 			res, err := adaptive.Run(g, diffusion.IC, eta, pol, φ, rng.New(r.Profile.Seed+uint64(i)))
 			if err != nil {
 				return fmt.Errorf("bench: weighting %s: %w", scheme, err)
@@ -429,13 +425,6 @@ func (r *Runner) ablationWeighting(w io.Writer) error {
 			scheme, eta, seeds/k, spread/k, sets/int64(len(worlds)), secs/k)
 	}
 	return tw.Flush()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // fixtureGraph returns the named toy graph used by the exact ablations.

@@ -1,14 +1,18 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"text/tabwriter"
 	"time"
 
+	"asti/internal/bitset"
 	"asti/internal/diffusion"
 	"asti/internal/gen"
 	"asti/internal/graph"
@@ -60,6 +64,9 @@ type MatrixCell struct {
 	SessionsPerSec float64 `json:"sessions_per_sec"`
 	StepP50Ms      float64 `json:"step_p50_ms"`
 	StepP99Ms      float64 `json:"step_p99_ms"`
+	// ProposalsDigest is FNV-64a over every session's proposed seeds, in
+	// session order: equal digests mean equal proposals.
+	ProposalsDigest uint64 `json:"proposals_digest"`
 }
 
 // MatrixReport is the machine-readable result of the "matrix" experiment
@@ -77,7 +84,7 @@ type MatrixReport struct {
 // matrix buys configuration coverage (does every factor tuple run, and
 // which factor moved), not dataset depth — the single-factor experiments
 // own depth — so a quick/full profile's scale-1 graphs would only
-// multiply a 32–384 cell sweep's wall clock for no extra information.
+// multiply a 64–384 cell sweep's wall clock for no extra information.
 const matrixScaleCap = 0.2
 
 // matrixScaleFor is the profile's scale for a dataset, capped for the
@@ -91,14 +98,15 @@ func (r *Runner) matrixScaleFor(name string) float64 {
 
 // matrixFactors sizes the grid for a profile. The quick/tiny grid keeps
 // one dataset and the two TRIM policies so the full factorial stays a
-// CI-friendly 32 cells; the full profile widens every axis (a second
-// dataset, the AdaptIM baseline, a parallel worker level) to 384 cells.
+// CI-friendly 64 cells; the full profile adds a second dataset and the
+// AdaptIM baseline for 384 cells. Every grid runs the sequential and a
+// fanned-out engine (Workers 1 and 4), which the digest check needs.
 func matrixFactors(p Profile) MatrixFactors {
 	f := MatrixFactors{
 		Datasets:        []string{"synth-nethept"},
 		Models:          []string{"IC", "LT"},
 		Policies:        []string{"ASTI", "ASTI-4"},
-		Workers:         []int{1},
+		Workers:         []int{1, 4},
 		Reuse:           []bool{true, false},
 		Durability:      []string{"none", "wal"},
 		SamplerVersions: []int{1, 2},
@@ -106,7 +114,6 @@ func matrixFactors(p Profile) MatrixFactors {
 	if p.Name == "full" {
 		f.Datasets = append(f.Datasets, "synth-epinions")
 		f.Policies = append(f.Policies, "AdaptIM")
-		f.Workers = append(f.Workers, 4)
 	}
 	return f
 }
@@ -116,7 +123,10 @@ func matrixFactors(p Profile) MatrixFactors {
 // the same short session campaign through serve.Manager (WAL cells
 // journal into a throwaway directory). The point is coverage, not depth —
 // one bench that proves every factor combination the service accepts
-// actually runs, and pins where each factor's cost shows up.
+// actually runs, and pins where each factor's cost shows up. Workers,
+// reuse and durability are speed-only factors, so the run fails unless
+// every cell that differs only in them proposed the same seeds (see
+// checkProposalDigests).
 func (r *Runner) matrix(w io.Writer) error {
 	factors := matrixFactors(r.Profile)
 
@@ -177,6 +187,19 @@ func (r *Runner) matrix(w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
+	groups, err := checkProposalDigests(rep.Cells)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "proposals digest per speed-only group (cells varying only workers × reuse × durability):")
+	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "group\tcells\tdigest")
+	for _, g := range groups {
+		fmt.Fprintf(tw, "%s\t%d\t%016x\n", g.key, g.cells, g.digest)
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
 	if r.BenchDir != "" {
 		if err := writeBenchFile(r.BenchDir, "matrix", rep); err != nil {
 			return err
@@ -225,6 +248,7 @@ func (r *Runner) matrixCell(reg *serve.Registry, g *graph.Graph,
 
 	var lats []time.Duration
 	var seeds, spread float64
+	digest := fnv.New64a()
 	t0 := time.Now()
 	for i := 0; i < matrixSessions; i++ {
 		c := cfg
@@ -240,6 +264,11 @@ func (r *Runner) matrixCell(reg *serve.Registry, g *graph.Graph,
 			mgr.Close(s.ID())
 			return cell, err
 		}
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(proposed)))
+		for _, v := range proposed {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+		digest.Write(b)
 		st := s.Status()
 		seeds += float64(st.Seeds)
 		spread += float64(st.Activated)
@@ -258,5 +287,75 @@ func (r *Runner) matrixCell(reg *serve.Registry, g *graph.Graph,
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	cell.StepP50Ms = float64(hdr.QuantileDurations(lats, 0.50)) / float64(time.Millisecond)
 	cell.StepP99Ms = float64(hdr.QuantileDurations(lats, 0.99)) / float64(time.Millisecond)
+	cell.ProposalsDigest = digest.Sum64()
 	return cell, nil
+}
+
+// digestGroup is one set of matrix cells that differ only in the
+// speed-only factors, and the proposals digest they share.
+type digestGroup struct {
+	key    string // dataset/model/policy/sampler version
+	cells  int
+	digest uint64
+}
+
+// checkProposalDigests groups cells by (dataset, model, policy, sampler
+// version) — the factors that may change proposals — and fails, naming
+// each offending group, unless every cell of a group has one digest.
+// Workers, reuse and durability are speed-only under the determinism
+// contract; sampler versions draw different streams, so they split groups.
+func checkProposalDigests(cells []MatrixCell) ([]digestGroup, error) {
+	var groups []digestGroup
+	index := map[string]int{}
+	var bad []string
+	for _, c := range cells {
+		key := fmt.Sprintf("%s/%s/%s/v%d", c.Dataset, c.Model, c.Policy, c.SamplerVersion)
+		i, ok := index[key]
+		if !ok {
+			i = len(groups)
+			index[key] = i
+			groups = append(groups, digestGroup{key: key, digest: c.ProposalsDigest})
+		}
+		groups[i].cells++
+		if c.ProposalsDigest != groups[i].digest {
+			bad = append(bad, fmt.Sprintf("%s: workers=%d reuse=%v durability=%s proposed %016x, first cell %016x",
+				key, c.Workers, c.Reuse, c.Durability, c.ProposalsDigest, groups[i].digest))
+		}
+	}
+	if len(bad) > 0 {
+		return groups, fmt.Errorf("bench: speed-only factors changed proposals:\n  %s", strings.Join(bad, "\n  "))
+	}
+	return groups, nil
+}
+
+// driveSessionInto plays s to completion against φ, appending every
+// proposed seed to *seeds, and returns the latency of every step (one
+// NextBatch + one Observe).
+func driveSessionInto(s *serve.Session, φ *diffusion.Realization, seeds *[]int32) ([]time.Duration, error) {
+	mirror := bitset.New(int(φ.Graph().N()))
+	var lats []time.Duration
+	for {
+		t0 := time.Now()
+		batch, err := s.NextBatch()
+		step := time.Since(t0)
+		if err != nil {
+			return nil, err
+		}
+		*seeds = append(*seeds, batch...)
+		// The client-side world simulation is excluded from the step
+		// latency: in the field it is the campaign, not the service.
+		newly := φ.Spread(batch, mirror)
+		for _, v := range newly {
+			mirror.Set(v)
+		}
+		t1 := time.Now()
+		prog, err := s.Observe(newly)
+		lats = append(lats, step+time.Since(t1))
+		if err != nil {
+			return nil, err
+		}
+		if prog.Done {
+			return lats, nil
+		}
+	}
 }

@@ -52,10 +52,26 @@ func TestMatrixGridIsCompleteAndTagged(t *testing.T) {
 		if c.StepP50Ms < 0 || c.StepP99Ms < c.StepP50Ms {
 			t.Errorf("cell %s quantiles out of order: %+v", key, c)
 		}
+		if c.ProposalsDigest == 0 {
+			t.Errorf("cell %s has no proposals digest", key)
+		}
+	}
+	groups, err := checkProposalDigests(rep.Cells)
+	if err != nil {
+		t.Errorf("written report fails the digest check: %v", err)
+	}
+	// The digest must see the proposals: groups that run different
+	// models or samplers cannot all collide.
+	distinct := map[uint64]bool{}
+	for _, g := range groups {
+		distinct[g.digest] = true
+	}
+	if len(distinct) < 2 {
+		t.Errorf("%d groups share %d digest(s): the digest ignores the proposals", len(groups), len(distinct))
 	}
 
 	// Every factor level actually appears somewhere.
-	for _, lvl := range []string{"|IC|", "|LT|", "|ASTI|", "|ASTI-4|", "|none|", "|wal|"} {
+	for _, lvl := range []string{"|IC|", "|LT|", "|ASTI|", "|ASTI-4|", "|1|", "|4|", "|none|", "|wal|"} {
 		found := false
 		for k := range seen {
 			if strings.Contains(k, lvl) {
@@ -76,4 +92,50 @@ func TestMatrixListedAsExperiment(t *testing.T) {
 		}
 	}
 	t.Error("\"matrix\" not in Experiments()")
+}
+
+func TestCheckProposalDigests(t *testing.T) {
+	// speedOnly builds the eight cells of one group, all with one digest.
+	speedOnly := func(model string, sv int, digest uint64) []MatrixCell {
+		var cells []MatrixCell
+		for _, wk := range []int{1, 4} {
+			for _, reuse := range []bool{true, false} {
+				for _, dur := range []string{"none", "wal"} {
+					cells = append(cells, MatrixCell{Dataset: "synth-nethept", Model: model, Policy: "ASTI",
+						SamplerVersion: sv, Workers: wk, Reuse: reuse, Durability: dur, ProposalsDigest: digest})
+				}
+			}
+		}
+		return cells
+	}
+	perturbed := speedOnly("IC", 2, 0xB)
+	perturbed[5].ProposalsDigest ^= 1
+
+	for _, tc := range []struct {
+		name    string
+		cells   []MatrixCell
+		groups  int
+		wantErr string // "" = must pass
+	}{
+		{"one group agrees", speedOnly("IC", 1, 0xA), 1, ""},
+		{"sampler versions may differ", append(speedOnly("IC", 1, 0xA), speedOnly("IC", 2, 0xB)...), 2, ""},
+		{"models may differ", append(speedOnly("IC", 2, 0xB), speedOnly("LT", 2, 0xC)...), 2, ""},
+		{"perturbed digest fails", append(speedOnly("IC", 1, 0xA), perturbed...), 2,
+			"synth-nethept/IC/ASTI/v2: workers=4 reuse=true durability=wal"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			groups, err := checkProposalDigests(tc.cells)
+			if len(groups) != tc.groups {
+				t.Errorf("got %d groups, want %d", len(groups), tc.groups)
+			}
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Errorf("unexpected failure: %v", err)
+			case tc.wantErr != "" && err == nil:
+				t.Error("perturbed digest passed the check")
+			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+				t.Errorf("error %q does not name the group and cell %q", err, tc.wantErr)
+			}
+		})
+	}
 }

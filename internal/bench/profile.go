@@ -1,17 +1,19 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§6, Appendices C–D) on the synthetic
-// scale-model datasets, plus the ablations DESIGN.md calls out.
+// scale-model datasets, plus ablations and the session-service perf
+// experiments.
 //
 // Each experiment prints the same rows/series the paper reports, as
 // aligned text. Absolute numbers differ from the paper (pure-Go on
-// synthetic scale models vs C++ on SNAP data); EXPERIMENTS.md records the
-// shape comparison.
+// synthetic scale models vs C++ on SNAP data); the shapes are what
+// compare.
 package bench
 
 import (
 	"fmt"
 
 	"asti/internal/gen"
+	"asti/internal/trim"
 )
 
 // Profile bundles the knobs of one harness run. Quick keeps a single-core
@@ -66,6 +68,14 @@ type Profile struct {
 
 // reusePool resolves the profile's pool-reuse setting for policy configs.
 func (p Profile) reusePool() bool { return !p.DisablePoolReuse }
+
+// trimPolicy builds a TRIM-family policy with the profile's ε, round cap,
+// engine workers and pool reuse: truncated selects ASTI's mRR objective
+// (false: AdaptIM's vanilla RR), batch the TRIM-B batch size.
+func (p Profile) trimPolicy(batch int, truncated bool) *trim.Policy {
+	return trim.MustNew(trim.Config{Epsilon: p.Epsilon, Batch: batch, Truncated: truncated,
+		MaxSetsPerRound: p.MaxSetsPerRound, Workers: p.Workers, ReusePool: p.reusePool()})
+}
 
 // Quick is the default profile: full-shape sweeps sized for a single core.
 func Quick() Profile {

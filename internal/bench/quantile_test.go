@@ -9,10 +9,10 @@ import (
 )
 
 // TestPercentileInterpolates is the regression test for the harness's
-// old nearest-rank quantiles: over a small sample (every serve/recovery
-// experiment reports p99 over tens of observations) the p99 and p999
-// must interpolate between the top order statistics instead of
-// degenerating to the maximum outlier.
+// old nearest-rank quantiles: over a small sample (the matrix and
+// recovery experiments report p99 over tens of observations) the p99
+// and p999 of hdr.QuantileDurations must interpolate between the top
+// order statistics instead of degenerating to the maximum outlier.
 func TestPercentileInterpolates(t *testing.T) {
 	// 50 evenly spaced samples plus one large outlier: nearest-rank p99
 	// reported the outlier itself; interpolation must stay between the
@@ -22,18 +22,18 @@ func TestPercentileInterpolates(t *testing.T) {
 		lats = append(lats, time.Duration(i)*time.Millisecond)
 	}
 	lats = append(lats, 10*time.Second)
-	p99 := percentile(lats, 0.99)
+	p99 := hdr.QuantileDurations(lats, 0.99)
 	if p99 >= 10*time.Second {
 		t.Fatalf("p99 = %v: still degenerates to the max outlier", p99)
 	}
 	if p99 < 50*time.Millisecond {
 		t.Fatalf("p99 = %v: below the second-largest sample", p99)
 	}
-	if p50 := percentile(lats, 0.50); p50 != 26*time.Millisecond {
+	if p50 := hdr.QuantileDurations(lats, 0.50); p50 != 26*time.Millisecond {
 		t.Errorf("p50 = %v, want 26ms", p50)
 	}
 	// Ordering must hold for the tail quantiles the harness reports.
-	p999 := percentile(lats, 0.999)
+	p999 := hdr.QuantileDurations(lats, 0.999)
 	if !(p99 <= p999 && p999 <= lats[len(lats)-1]) {
 		t.Errorf("quantile ordering violated: p99 %v, p999 %v, max %v", p99, p999, lats[len(lats)-1])
 	}

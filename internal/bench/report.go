@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"asti/internal/diffusion"
+	"asti/internal/stats"
 )
 
 // figureLabel maps a model to the paper's figure numbers for the sweep
@@ -47,30 +48,30 @@ func (s *Sweep) fracs(dataset string) []float64 {
 
 // ReportSeeds prints the "number of seeds vs threshold" panels (paper
 // Figures 4 and 6, one sub-table per dataset).
-func (s *Sweep) ReportSeeds(w io.Writer) {
+func (s *Sweep) ReportSeeds(w io.Writer) error {
 	fmt.Fprintf(w, "# %s — number of seed nodes vs threshold, %s model (mean over %d realizations)\n",
 		seedsFigure(s.Model), s.Model, s.Profile.Realizations)
-	s.report(w, func(c *Cell) string { return fmt.Sprintf("%.1f", mean(c.Seeds)) })
+	return s.report(w, func(c *Cell) string { return fmt.Sprintf("%.1f", stats.Mean(c.Seeds)) })
 }
 
 // ReportTimes prints the "running time vs threshold" panels (paper
 // Figures 5 and 7).
-func (s *Sweep) ReportTimes(w io.Writer) {
+func (s *Sweep) ReportTimes(w io.Writer) error {
 	fmt.Fprintf(w, "# %s — running time (seconds) vs threshold, %s model (mean over %d realizations)\n",
 		timeFigure(s.Model), s.Model, s.Profile.Realizations)
-	s.report(w, func(c *Cell) string { return fmt.Sprintf("%.3g", mean(c.Seconds)) })
+	return s.report(w, func(c *Cell) string { return fmt.Sprintf("%.3g", stats.Mean(c.Seconds)) })
 }
 
 // ReportSpreads prints the "spread vs threshold" panels (paper Figure 9,
 // Appendix C; IC model in the paper, both models here).
-func (s *Sweep) ReportSpreads(w io.Writer) {
+func (s *Sweep) ReportSpreads(w io.Writer) error {
 	fmt.Fprintf(w, "# Figure 9 — influence spread vs threshold, %s model (mean over %d realizations)\n",
 		s.Model, s.Profile.Realizations)
-	s.report(w, func(c *Cell) string { return fmt.Sprintf("%.0f", mean(c.Spreads)) })
+	return s.report(w, func(c *Cell) string { return fmt.Sprintf("%.0f", stats.Mean(c.Spreads)) })
 }
 
 // report renders one value per cell across all datasets and thresholds.
-func (s *Sweep) report(w io.Writer, value func(*Cell) string) {
+func (s *Sweep) report(w io.Writer, value func(*Cell) string) error {
 	for _, ds := range s.Datasets {
 		fmt.Fprintf(w, "\n## %s (η column is absolute threshold)\n", ds)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -102,15 +103,18 @@ func (s *Sweep) report(w io.Writer, value func(*Cell) string) {
 			}
 			fmt.Fprintln(tw)
 		}
-		tw.Flush()
+		if err := tw.Flush(); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // ReportTable3 prints the improvement ratio of ASTI over ATEUC per
 // threshold (paper Table 3): (seeds_ATEUC − seeds_ASTI)/seeds_ASTI, with
 // N/A whenever ATEUC missed the threshold on some realization — the
 // paper's footnote semantics.
-func ReportTable3(w io.Writer, ic, lt *Sweep) {
+func ReportTable3(w io.Writer, ic, lt *Sweep) error {
 	fmt.Fprintln(w, "# Table 3 — improvement ratio of ASTI over ATEUC (N/A: ATEUC missed η on some realization)")
 	for _, s := range []*Sweep{ic, lt} {
 		fmt.Fprintf(w, "\n## %s model\n", s.Model)
@@ -132,19 +136,22 @@ func ReportTable3(w io.Writer, ic, lt *Sweep) {
 				case ateuc.Misses > 0:
 					fmt.Fprint(tw, "\tN/A")
 				default:
-					ratio := (mean(ateuc.Seeds) - mean(asti.Seeds)) / mean(asti.Seeds) * 100
+					ratio := (stats.Mean(ateuc.Seeds) - stats.Mean(asti.Seeds)) / stats.Mean(asti.Seeds) * 100
 					fmt.Fprintf(tw, "\t%.1f%%", ratio)
 				}
 			}
 			fmt.Fprintln(tw)
 		}
-		tw.Flush()
+		if err := tw.Flush(); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // ReportTrace prints the per-seed marginal truncated spread series of the
 // first realization at the largest threshold (paper Figure 10, Appendix D).
-func (s *Sweep) ReportTrace(w io.Writer) {
+func (s *Sweep) ReportTrace(w io.Writer) error {
 	fmt.Fprintf(w, "# Figure 10 — realized marginal spread per seed index, %s model (largest threshold, first realization)\n", s.Model)
 	for _, ds := range s.Datasets {
 		fs := s.fracs(ds)
@@ -161,6 +168,9 @@ func (s *Sweep) ReportTrace(w io.Writer) {
 		for i, m := range c.TraceMarginals {
 			fmt.Fprintf(tw, "%d\t%d\n", i+1, m)
 		}
-		tw.Flush()
+		if err := tw.Flush(); err != nil {
+			return err
+		}
 	}
+	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"asti/internal/diffusion"
 	"asti/internal/gen"
 	"asti/internal/rng"
-	"asti/internal/trim"
 )
 
 // ablationScaling validates the shape of Theorem 3.11's complexity claim,
@@ -33,8 +32,7 @@ func (r *Runner) ablationScaling(w io.Writer) error {
 			return err
 		}
 		eta := etaFor(g, 0.05)
-		pol := trim.MustNew(trim.Config{Epsilon: r.Profile.Epsilon, Batch: 1, Truncated: true,
-			MaxSetsPerRound: r.Profile.MaxSetsPerRound, Workers: r.Profile.Workers, ReusePool: r.Profile.reusePool()})
+		pol := r.Profile.trimPolicy(1, true)
 		φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(r.Profile.Seed))
 		t0 := time.Now()
 		_, err = adaptive.Run(g, diffusion.IC, eta, pol, φ, rng.New(r.Profile.Seed+1))

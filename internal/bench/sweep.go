@@ -11,6 +11,7 @@ import (
 	"asti/internal/gen"
 	"asti/internal/graph"
 	"asti/internal/rng"
+	"asti/internal/stats"
 	"asti/internal/trim"
 )
 
@@ -128,7 +129,7 @@ func RunSweep(p Profile, model diffusion.Model, progress io.Writer) (*Sweep, err
 				row[col.name] = cell
 				if progress != nil {
 					fmt.Fprintf(progress, "done %-18s %s η/n=%-5v %-8s seeds=%.1f time=%.2fs misses=%d\n",
-						spec.Name, model, frac, col.name, mean(cell.Seeds), mean(cell.Seconds), cell.Misses)
+						spec.Name, model, frac, col.name, stats.Mean(cell.Seeds), stats.Mean(cell.Seconds), cell.Misses)
 				}
 			}
 		}
@@ -222,15 +223,4 @@ func runATEUCCell(p Profile, g *graph.Graph, model diffusion.Model, cell *Cell, 
 		}
 	}
 	return cell, nil
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

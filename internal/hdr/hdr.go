@@ -190,26 +190,7 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 // blends xs[⌊h⌋] and xs[⌊h⌋+1]. Unlike nearest-rank it is continuous in
 // p and does not collapse high quantiles onto the maximum for small n.
 // xs must be sorted ascending; returns 0 when empty.
-func Quantile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	switch {
-	case n == 0:
-		return 0
-	case n == 1:
-		return sorted[0]
-	case p <= 0:
-		return sorted[0]
-	case p >= 1:
-		return sorted[n-1]
-	}
-	h := p * float64(n-1)
-	i := int(math.Floor(h))
-	frac := h - float64(i)
-	if i+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[i] + frac*(sorted[i+1]-sorted[i])
-}
+func Quantile(sorted []float64, p float64) float64 { return quantile(sorted, p) }
 
 // QuantileOf sorts a copy of xs and returns its p-quantile.
 func QuantileOf(xs []float64, p float64) float64 {
@@ -221,6 +202,11 @@ func QuantileOf(xs []float64, p float64) float64 {
 // QuantileDurations returns the p-quantile of sorted durations by the
 // same type-7 interpolation as Quantile.
 func QuantileDurations(sorted []time.Duration, p float64) time.Duration {
+	return quantile(sorted, p)
+}
+
+// quantile is the type-7 body of Quantile and QuantileDurations.
+func quantile[T ~float64 | ~int64](sorted []T, p float64) T {
 	n := len(sorted)
 	switch {
 	case n == 0:
@@ -238,5 +224,6 @@ func QuantileDurations(sorted []time.Duration, p float64) time.Duration {
 	if i+1 >= n {
 		return sorted[n-1]
 	}
-	return sorted[i] + time.Duration(frac*float64(sorted[i+1]-sorted[i]))
+	a, b := sorted[i], sorted[i+1]
+	return a + T(frac*float64(b-a))
 }

@@ -7,8 +7,7 @@
 // claims ("ASTI's curve stays below ATEUC's", "runtime decreases with η
 // for ATEUC and increases for the adaptive algorithms") are easier to
 // check visually; Chart renders a good-enough log/linear plot with pure
-// stdlib so EXPERIMENTS.md can quote figures directly from terminal
-// output.
+// stdlib, straight into terminal output.
 package trace
 
 import (
